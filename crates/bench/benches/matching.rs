@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the §3.2/§4.2 algorithms, including the
 //! KMP-vs-naive ablation the paper motivates ("the KMP algorithm is
 //! applied to reduce the number of comparisons to O(n)"), plus the
-//! three-way linear-scan vs candidate-pruning-index vs shared-automaton
-//! matching comparison, whose results are written to
-//! `BENCH_matching.json` at the workspace root.
+//! linear-scan vs shared-automaton matching comparison, whose results
+//! are written to `BENCH_matching.json` at the workspace root.
 //!
 //! Environment knobs (for CI smoke runs):
 //! * `XDN_BENCH_SUBS` — comma-separated subscription counts
@@ -99,24 +98,19 @@ fn bench_covering(c: &mut Criterion) {
 criterion_group!(benches, bench_overlap, bench_covering);
 
 mod scaling {
-    //! Flat linear scan vs the candidate-pruning `IndexedPrt` vs the
-    //! shared-NFA `AutomatonPrt`, at growing subscription counts, over
-    //! the NITF `set_a` workload (Table 1's setting). Criterion's
-    //! offline stand-in emits no reports, so this self-times with
-    //! `Instant` and writes the JSON artifact directly.
+    //! Flat linear scan vs the shared-NFA `AutomatonPrt`, at growing
+    //! subscription counts, over the NITF `set_a` workload (Table 1's
+    //! setting). Criterion's offline stand-in emits no reports, so this
+    //! self-times with `Instant` and writes the JSON artifact directly.
     //!
-    //! Before timing, every level asserts the three routers report
+    //! Before timing, every level asserts the two routers report
     //! bit-identical match sets per publication path (the automaton's
     //! equivalence is additionally property-tested in
-    //! `crates/core/tests/automaton_props.rs`), and a warm
-    //! re-subscription pass exercises the `PreparedXpe` cache so the
-    //! recorded hit/miss stats reflect a steady-state broker rather
-    //! than a cold first boot.
+    //! `crates/core/tests/automaton_props.rs`).
 
     use std::time::Instant;
     use xdn_bench::SEED;
     use xdn_core::automaton::AutomatonPrt;
-    use xdn_core::index::IndexedPrt;
     use xdn_core::rtable::{FlatPrt, PublicationRouter, SubId};
     use xdn_workloads::{docs, nitf_dtd, sets};
 
@@ -125,13 +119,9 @@ mod scaling {
     struct Level {
         subscriptions: usize,
         flat_ns_per_pub: f64,
-        indexed_ns_per_pub: f64,
         automaton_ns_per_pub: f64,
         speedup: f64,
-        automaton_speedup_vs_indexed: f64,
         matches: u64,
-        cache_hits: u64,
-        cache_misses: u64,
     }
 
     fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
@@ -170,27 +160,14 @@ mod scaling {
         for &n in &levels {
             let subs = &queries[..n.min(queries.len())];
             let mut flat: FlatPrt<u32> = FlatPrt::new();
-            let mut indexed: IndexedPrt<u32> = IndexedPrt::new();
             let mut automaton: AutomatonPrt<u32> = AutomatonPrt::new();
             for (i, q) in subs.iter().enumerate() {
                 flat.insert(SubId(i as u64), q.clone(), i as u32);
-                indexed.subscribe(SubId(i as u64), q.clone(), i as u32);
                 automaton.insert(SubId(i as u64), q.clone(), i as u32);
             }
-            // Warm re-subscription pass: register the same expressions
-            // under fresh ids (every one a `PreparedXpe` cache hit),
-            // then retract them, leaving the table unchanged. The
-            // recorded stats now show steady-state reuse instead of
-            // the cold-boot `cache_hits: 0`.
-            for (i, q) in subs.iter().enumerate() {
-                indexed.subscribe(SubId((n + i) as u64), q.clone(), i as u32);
-            }
-            for i in 0..subs.len() {
-                indexed.unsubscribe(SubId((n + i) as u64));
-            }
 
-            // Untimed equivalence gate: the three routers must agree
-            // on the exact match set of every publication path.
+            // Untimed equivalence gate: the two routers must agree on
+            // the exact match set of every publication path.
             fn match_set(r: &dyn PublicationRouter<u32>, p: &[String]) -> Vec<(SubId, u32)> {
                 let mut out = Vec::new();
                 r.for_each_matching_with_attrs(p, &[], &mut |id, h| out.push((id, *h)));
@@ -198,15 +175,9 @@ mod scaling {
                 out
             }
             for p in &paths {
-                let want = match_set(&flat, p);
-                assert_eq!(
-                    match_set(&indexed, p),
-                    want,
-                    "indexed diverges from flat at n={n} on {p:?}"
-                );
                 assert_eq!(
                     match_set(&automaton, p),
-                    want,
+                    match_set(&flat, p),
                     "automaton diverges from flat at n={n} on {p:?}"
                 );
             }
@@ -220,15 +191,6 @@ mod scaling {
             }
             let flat_ns = started.elapsed().as_nanos() as f64 / routed as f64;
 
-            let mut indexed_matches = 0u64;
-            let started = Instant::now();
-            for _ in 0..iters {
-                for p in &paths {
-                    indexed_matches += indexed.route(std::hint::black_box(p)).len() as u64;
-                }
-            }
-            let indexed_ns = started.elapsed().as_nanos() as f64 / routed as f64;
-
             let mut automaton_matches = 0u64;
             let started = Instant::now();
             for _ in 0..iters {
@@ -240,32 +202,20 @@ mod scaling {
             let automaton_ns = started.elapsed().as_nanos() as f64 / routed as f64;
 
             assert_eq!(
-                flat_matches, indexed_matches,
-                "index must select exactly the scan's matches at n={n}"
-            );
-            assert_eq!(
                 flat_matches, automaton_matches,
                 "automaton must select exactly the scan's matches at n={n}"
             );
-            let (cache_hits, cache_misses) = indexed.cache().stats();
-            let speedup = flat_ns / indexed_ns.max(f64::EPSILON);
-            let automaton_speedup_vs_indexed = indexed_ns / automaton_ns.max(f64::EPSILON);
+            let speedup = flat_ns / automaton_ns.max(f64::EPSILON);
             println!(
                 "bench matching/scaling subs={n}: flat {flat_ns:.0} ns/pub, \
-                 indexed {indexed_ns:.0} ns/pub, automaton {automaton_ns:.0} ns/pub, \
-                 speedup {speedup:.1}x, automaton-vs-indexed \
-                 {automaton_speedup_vs_indexed:.1}x"
+                 automaton {automaton_ns:.0} ns/pub, speedup {speedup:.1}x"
             );
             results.push(Level {
                 subscriptions: n,
                 flat_ns_per_pub: flat_ns,
-                indexed_ns_per_pub: indexed_ns,
                 automaton_ns_per_pub: automaton_ns,
                 speedup,
-                automaton_speedup_vs_indexed,
                 matches: flat_matches / iters as u64,
-                cache_hits,
-                cache_misses,
             });
         }
 
@@ -282,18 +232,13 @@ mod scaling {
             .map(|l| {
                 format!(
                     "    {{\"subscriptions\": {}, \"flat_ns_per_pub\": {:.1}, \
-                     \"indexed_ns_per_pub\": {:.1}, \"automaton_ns_per_pub\": {:.1}, \
-                     \"speedup\": {:.2}, \"automaton_speedup_vs_indexed\": {:.2}, \
-                     \"matches_per_pass\": {}, \"cache_hits\": {}, \"cache_misses\": {}}}",
+                     \"automaton_ns_per_pub\": {:.1}, \"speedup\": {:.2}, \
+                     \"matches_per_pass\": {}}}",
                     l.subscriptions,
                     l.flat_ns_per_pub,
-                    l.indexed_ns_per_pub,
                     l.automaton_ns_per_pub,
                     l.speedup,
-                    l.automaton_speedup_vs_indexed,
                     l.matches,
-                    l.cache_hits,
-                    l.cache_misses,
                 )
             })
             .collect();

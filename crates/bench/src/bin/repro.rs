@@ -247,7 +247,12 @@ fn run_traffic(levels: u32, title: &str, scale: &Scale) {
         "{}",
         render_table(
             title,
-            &["Method", "Network Traffic", "Delay (ms)", "Deliveries"],
+            &[
+                "Method",
+                "Network Traffic",
+                "Modeled Delay (ms)",
+                "Deliveries"
+            ],
             &table
         )
     );
@@ -303,7 +308,7 @@ fn run_delay(which: delay::DelayDtd, title: &str, scale: &Scale) {
     print!(
         "{}",
         render_table(
-            &format!("{title} — notification delay (ms) by hops"),
+            &format!("{title} — modeled notification delay (ms) by hops"),
             &["document", "2 hops", "3 hops", "4 hops", "5 hops", "6 hops"],
             &table,
         )

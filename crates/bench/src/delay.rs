@@ -7,6 +7,12 @@
 //! subscribers that load its routing table; covering compacts those
 //! tables along the path, so the per-hop matching cost — and with it
 //! the notification delay — drops (the paper reports up to 74 %).
+//!
+//! Per-hop compute is the simulator's modeled cost
+//! ([`xdn_net::sim::ProcessingModel::modeled`]), proportional to the
+//! effective routing-table size: the figures show how table size
+//! shapes delay, deterministically. Real-clock latency is measured by
+//! the end-to-end benchmark (`e2ebench/`).
 
 use crate::{Scale, SEED};
 use rand::SeedableRng;
@@ -15,7 +21,7 @@ use std::time::Duration;
 use xdn_broker::{BrokerId, RoutingConfig};
 use xdn_core::adv::{derive_advertisements, DeriveOptions};
 use xdn_net::latency::PlanetLabWan;
-use xdn_net::sim::{Network, ProcessingModel};
+use xdn_net::sim::Network;
 use xdn_net::topology::chain;
 use xdn_workloads::{docs, nitf_dtd, psd_dtd, sets};
 
@@ -50,23 +56,9 @@ pub fn paper_sizes(dtd: DelayDtd) -> Vec<usize> {
 }
 
 /// Runs one figure: hops 2–6, the given document sizes, covering on
-/// and off, attributing measured wall-clock compute time to each hop
-/// (the paper's testbed behaviour).
+/// and off, charging each hop the modeled compute time of its routing
+/// table.
 pub fn run(which: DelayDtd, sizes: &[usize], scale: &Scale) -> Vec<DelayPoint> {
-    run_with_processing(which, sizes, scale, ProcessingModel::Measured)
-}
-
-/// [`run`] with an explicit [`ProcessingModel`]. Tests use
-/// [`ProcessingModel::modeled`], which charges a deterministic
-/// per-frame cost proportional to the effective routing-table size —
-/// the covering-vs-hops shape survives, but host scheduling noise
-/// cannot flip an assertion.
-pub fn run_with_processing(
-    which: DelayDtd,
-    sizes: &[usize],
-    scale: &Scale,
-    processing: ProcessingModel,
-) -> Vec<DelayPoint> {
     let dtd = match which {
         DelayDtd::Psd => psd_dtd(),
         DelayDtd::Nitf => nitf_dtd(),
@@ -94,7 +86,6 @@ pub fn run_with_processing(
         };
         const BROKERS: u32 = 7;
         let mut net: Network = chain(BROKERS, config, PlanetLabWan::default());
-        net.set_processing_model(processing);
         let publisher = net.attach_client(BrokerId(0));
         net.advertise_all(publisher, advertisements.clone());
         net.run();
@@ -164,12 +155,7 @@ mod tests {
 
     #[test]
     fn delay_grows_with_hops_and_covering_wins() {
-        let scale = Scale::quick();
-        // Virtual-time processing: per-frame cost is an analytic
-        // function of the routing table, not host wall-clock, so this
-        // test cannot flake under CI scheduling jitter.
-        let points =
-            run_with_processing(DelayDtd::Psd, &[2_000], &scale, ProcessingModel::modeled());
+        let points = run(DelayDtd::Psd, &[2_000], &Scale::quick());
         // Every (covering, hops) pair measured.
         assert!(points.len() >= 8, "got {} points", points.len());
         for covering in [true, false] {

@@ -33,7 +33,8 @@ pub struct TrafficRow {
     pub publish_traffic: u64,
     /// Advertisement-flood messages received by brokers.
     pub advertise_traffic: u64,
-    /// Mean notification delay.
+    /// Mean notification delay, in the simulator's virtual time with
+    /// modeled per-hop compute.
     pub delay: std::time::Duration,
     /// Documents delivered (sanity: equal across strategies).
     pub notifications: usize,
@@ -164,6 +165,29 @@ mod tests {
                 "{} delivered a different set",
                 r.strategy
             );
+        }
+
+        // Exact counts at quick scale: (traffic, subscribe, publish,
+        // advertise, notifications). Which table a broker matches
+        // publications with must never move a message.
+        let pinned: [(&str, [u64; 5]); 6] = [
+            ("no-Adv-no-Cov", [1884, 700, 353, 0, 16]),
+            ("no-Adv-with-Cov", [1720, 618, 353, 0, 16]),
+            ("with-Adv-no-Cov", [2345, 300, 353, 679, 16]),
+            ("with-Adv-with-Cov", [2317, 286, 353, 679, 16]),
+            ("with-Adv-with-CovPM", [2361, 308, 353, 679, 16]),
+            ("with-Adv-with-CovIPM", [2361, 308, 353, 679, 16]),
+        ];
+        for (name, want) in pinned {
+            let r = by_name(name);
+            let got = [
+                r.traffic,
+                r.subscribe_traffic,
+                r.publish_traffic,
+                r.advertise_traffic,
+                r.notifications as u64,
+            ];
+            assert_eq!(got, want, "{name} message counts moved");
         }
     }
 }

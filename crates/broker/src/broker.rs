@@ -1,16 +1,14 @@
 //! The broker: routing state plus the message-handling state machine.
 
-use crate::message::{BrokerId, Dest, Message, MessageKind, Publication};
+use crate::message::{BrokerId, Dest, Message, MessageKind};
 use crate::reliable::{Admit, DedupWindow, OutboundLink, ReliabilityState};
 use crate::stats::BrokerStats;
 use crate::wire::{FrameBuf, Outbound};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use xdn_core::automaton::{AutomatonPrt, AutomatonStats};
-use xdn_core::index::IndexedPrt;
 use xdn_core::merge::MergeConfig;
-use xdn_core::rtable::{FlatPrt, Prt, PublicationRouter, RouteRequest, Srt, SubId};
-use xdn_core::shard::{ShardStats, ShardedRouter};
+use xdn_core::rtable::{Prt, PublicationRouter, Srt, SubId};
 use xdn_obs::{Stopwatch, TraceEvent, Tracer};
 use xdn_xpath::Xpe;
 
@@ -36,43 +34,12 @@ impl Merging {
     }
 }
 
-/// How a non-covering broker matches publications against its
-/// subscription table. Every variant returns identical destination
-/// sets; only the publication routing time changes. Ignored when
-/// [`RoutingConfig::covering`] is set (the covering tree is its own
-/// organization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Linear scan over every subscription (`FlatPrt`) — the paper's
-    /// baseline.
-    Flat,
-    /// Candidate-pruning inverted index (`IndexedPrt`). The default.
-    Indexed,
-    /// Subscriptions hash-partitioned across `shards` independent
-    /// `IndexedPrt` tables, matched in parallel on the scoped worker
-    /// pool (`XDN_MATCH_THREADS` workers).
-    Sharded {
-        /// Number of shards (zero is clamped to one).
-        shards: usize,
-    },
-    /// The whole subscription set compiled into one shared NFA
-    /// (`AutomatonPrt`): a publication is matched in a single
-    /// traversal, independent of the candidate count.
-    Automaton,
-    /// Subscriptions hash-partitioned across `shards` independent
-    /// `AutomatonPrt` tables, matched in parallel on the worker pool.
-    ShardedAutomaton {
-        /// Number of shards (zero is clamped to one).
-        shards: usize,
-    },
-}
-
 /// A broker's routing strategy — the experiment axis of Tables 2/3.
 ///
 /// Build one with [`RoutingConfig::builder`]:
 ///
 /// ```
-/// use xdn_broker::broker::{MatchStrategy, Merging, RoutingConfig};
+/// use xdn_broker::broker::{Merging, RoutingConfig};
 ///
 /// let cfg = RoutingConfig::builder()
 ///     .advertisements(true)
@@ -80,48 +47,29 @@ pub enum MatchStrategy {
 ///     .merging(Merging::Imperfect { max_degree: 0.1 })
 ///     .build();
 /// assert!(cfg.advertisements && cfg.covering);
-///
-/// let parallel = RoutingConfig::builder()
-///     .strategy(MatchStrategy::Sharded { shards: 4 })
-///     .build();
-/// assert_eq!(parallel.strategy, MatchStrategy::Sharded { shards: 4 });
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Use advertisement-based subscription routing; without it,
     /// subscriptions are flooded to every neighbour.
     pub advertisements: bool,
-    /// Use the covering subscription tree; without it, a flat table.
+    /// Use the covering subscription tree; without it, the
+    /// non-covering shared-automaton table.
     pub covering: bool,
     /// Merging mode, if any.
     pub merging: Option<Merging>,
-    /// Matching organization for non-covering tables. Replaces the old
-    /// boolean `indexing` knob.
-    pub strategy: MatchStrategy,
 }
 
 /// Staged construction of a [`RoutingConfig`]; see
 /// [`RoutingConfig::builder`].
 ///
-/// Starts from the paper's baseline (`no-Adv-no-Cov`, no merging) with
-/// the match index enabled; each method switches one axis on.
-#[derive(Debug, Clone, Copy)]
+/// Starts from the paper's baseline (`no-Adv-no-Cov`, no merging);
+/// each method switches one axis on.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RoutingConfigBuilder {
     advertisements: bool,
     covering: bool,
     merging: Option<Merging>,
-    strategy: MatchStrategy,
-}
-
-impl Default for RoutingConfigBuilder {
-    fn default() -> Self {
-        RoutingConfigBuilder {
-            advertisements: false,
-            covering: false,
-            merging: None,
-            strategy: MatchStrategy::Indexed,
-        }
-    }
 }
 
 impl RoutingConfigBuilder {
@@ -145,19 +93,12 @@ impl RoutingConfigBuilder {
         self
     }
 
-    /// Selects the matching organization for non-covering tables.
-    pub fn strategy(mut self, strategy: MatchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> RoutingConfig {
         RoutingConfig {
             advertisements: self.advertisements,
             covering: self.covering,
             merging: self.merging,
-            strategy: self.strategy,
         }
     }
 }
@@ -219,8 +160,9 @@ pub struct Broker {
     config: RoutingConfig,
     srt: Srt<Dest>,
     /// The publication routing table behind the strategy-agnostic
-    /// [`PublicationRouter`] interface: covering tree, linear scan, or
-    /// candidate-pruning index, per [`RoutingConfig`].
+    /// [`PublicationRouter`] interface: the covering tree when
+    /// [`RoutingConfig::covering`] is set, the shared automaton
+    /// otherwise.
     prt: Box<dyn PublicationRouter<Dest> + Send>,
     /// DTD path universe for computing `D_imperfect` (merging).
     universe: Option<Arc<Vec<Vec<String>>>>,
@@ -260,22 +202,6 @@ pub struct Broker {
 /// replay them after sync — the cap bounds memory, not correctness.
 const WARMUP_CAPACITY: usize = 4096;
 
-/// One admitted batch entry awaiting the parallel routing flush in
-/// [`Broker::handle_batch`].
-enum PendingEntry {
-    /// A publication to route; `ack` is the cumulative ack owed for its
-    /// sequenced envelope (already computed at admission, when the
-    /// dedup window was advanced), emitted after the routed copies.
-    Route {
-        from: Dest,
-        publication: Publication,
-        ack: Option<Message>,
-    },
-    /// Pre-computed output (e.g. a duplicate's re-ack) held back so the
-    /// batch's output order matches sequential processing.
-    Emit(Vec<Outbound>),
-}
-
 /// An installed [`Tracer`], opaque to `Debug` (trace sinks carry
 /// writers and buffers that have no useful debug form).
 struct TracerHandle(Arc<dyn Tracer>);
@@ -300,17 +226,7 @@ impl Broker {
         let prt: Box<dyn PublicationRouter<Dest> + Send> = if config.covering {
             Box::new(Prt::new())
         } else {
-            match config.strategy {
-                MatchStrategy::Flat => Box::new(FlatPrt::new()),
-                MatchStrategy::Indexed => Box::new(IndexedPrt::new()),
-                MatchStrategy::Sharded { shards } => {
-                    Box::new(ShardedRouter::<IndexedPrt<Dest>>::new(shards))
-                }
-                MatchStrategy::Automaton => Box::new(AutomatonPrt::new()),
-                MatchStrategy::ShardedAutomaton { shards } => {
-                    Box::new(ShardedRouter::<AutomatonPrt<Dest>>::new(shards))
-                }
-            }
+            Box::new(AutomatonPrt::new())
         };
         Broker {
             id,
@@ -601,186 +517,18 @@ impl Broker {
         out
     }
 
-    /// Processes a whole transport drain in one call, returning exactly
-    /// the frames [`Broker::handle_frames`] would have produced for the
-    /// same sequence: `handle_batch_frames(batch)` is observably
-    /// equivalent to concatenating `handle_frames(from, msg)` over the
-    /// batch in order.
-    ///
-    /// Control traffic (advertisements, subscriptions, sync, acks) is
-    /// order-sensitive and processed sequentially, acting as a flush
-    /// barrier; runs of publications between barriers are routed in one
-    /// [`PublicationRouter::route_batch`] call, which a sharded table
-    /// fans across its worker pool. Reliability bookkeeping happens at
-    /// admission time in arrival order (dedup windows advance and acks
-    /// are computed as each frame is scanned) and per-link sequencing
-    /// headers are assigned at flush time in arrival order, so the
-    /// sequencing/ack layer sees the same frame stream either way.
+    /// Processes a whole transport drain in one call: the output is
+    /// exactly that of [`Broker::handle_frames`] over the batch in
+    /// order, concatenated.
     pub fn handle_batch_frames(&mut self, batch: Vec<(Dest, Message)>) -> Vec<Outbound> {
-        let mut out = Vec::new();
-        let mut pending: Vec<PendingEntry> = Vec::new();
-        for (from, msg) in batch {
-            if self.sync_pending.is_empty() {
-                match msg {
-                    Message::Publish(p) => {
-                        pending.push(PendingEntry::Route {
-                            from,
-                            publication: p,
-                            ack: None,
-                        });
-                        continue;
-                    }
-                    Message::Sequenced {
-                        epoch,
-                        seq,
-                        low,
-                        inner,
-                    } if matches!(*inner, Message::Publish(_)) => {
-                        // The guard proved the frame carries a
-                        // publication; move it out once, before any
-                        // bookkeeping, so no arm re-proves it. Should
-                        // the two ever disagree, dropping the frame
-                        // beats panicking the broker mid-drain.
-                        let Message::Publish(p) =
-                            Arc::try_unwrap(inner).unwrap_or_else(|shared| (*shared).clone())
-                        else {
-                            continue;
-                        };
-                        let admit = self
-                            .windows
-                            .entry(from)
-                            .or_default()
-                            .observe(epoch, seq, low);
-                        match admit {
-                            Admit::Stale => {
-                                self.stats.stale_frames += 1;
-                            }
-                            Admit::Duplicate => {
-                                self.stats.dup_frames += 1;
-                                let ack = self.ack_for(from, epoch, seq);
-                                self.stats.sent += 1;
-                                pending.push(PendingEntry::Emit(vec![Outbound::from((from, ack))]));
-                            }
-                            Admit::Fresh => {
-                                let ack = self.ack_for(from, epoch, seq);
-                                self.stats.sent += 1;
-                                pending.push(PendingEntry::Route {
-                                    from,
-                                    publication: p,
-                                    ack: Some(ack),
-                                });
-                            }
-                        }
-                        continue;
-                    }
-                    other => {
-                        // Order-sensitive traffic: flush the routed run,
-                        // then process sequentially as today.
-                        self.flush_publications(&mut pending, &mut out);
-                        out.extend(self.handle_frames(from, other));
-                    }
-                }
-            } else {
-                self.flush_publications(&mut pending, &mut out);
-                out.extend(self.handle_frames(from, msg));
-            }
-        }
-        self.flush_publications(&mut pending, &mut out);
-        out
+        batch
+            .into_iter()
+            .flat_map(|(from, msg)| self.handle_frames(from, msg))
+            .collect()
     }
 
-    /// Routes the pending publication run in one batched call and emits
-    /// its outputs (and held-back acks) in admission order.
-    fn flush_publications(&mut self, pending: &mut Vec<PendingEntry>, out: &mut Vec<Outbound>) {
-        if pending.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(pending);
-        let requests: Vec<RouteRequest<'_>> = entries
-            .iter()
-            .filter_map(|e| match e {
-                PendingEntry::Route { publication, .. } => Some(RouteRequest {
-                    path: &publication.elements,
-                    attrs: &publication.attributes,
-                }),
-                PendingEntry::Emit(_) => None,
-            })
-            .collect();
-        let sw = Stopwatch::start();
-        let dest_sets = if requests.is_empty() {
-            Vec::new()
-        } else {
-            self.prt.route_batch(&requests)
-        };
-        // Spread the batch's wall time over its publications so the
-        // routing histogram keeps one sample per publication.
-        let n = requests.len().max(1) as u32;
-        let per_pub = sw.elapsed() / n;
-        let per_pub_ns = sw.elapsed_ns() / u64::from(n);
-        let mut sets = dest_sets.into_iter();
-        for entry in entries {
-            match entry {
-                PendingEntry::Emit(msgs) => out.extend(msgs),
-                PendingEntry::Route {
-                    from,
-                    publication: p,
-                    ack,
-                } => {
-                    self.stats.record_received(MessageKind::Publish);
-                    self.stats.pub_routing.record(per_pub);
-                    let dests = sets.next().unwrap_or_default();
-                    let doc_id = p.doc_id.0;
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(&TraceEvent::span(
-                            "pub.route",
-                            self.id.0,
-                            "publish",
-                            doc_id,
-                            dests.len() as u64,
-                            per_pub_ns,
-                        ));
-                    }
-                    // One shared payload for the whole fan-out: every
-                    // next-hop frame clones the `Arc`, not the paths.
-                    let payload = Arc::new(Message::Publish(p));
-                    let routed: Vec<Outbound> = dests
-                        .into_iter()
-                        .filter(|d| *d != from)
-                        .map(|d| {
-                            if let Dest::Client(c) = d {
-                                self.stats.deliveries += 1;
-                                if let Some(tracer) = &self.tracer {
-                                    tracer.record(&TraceEvent::point(
-                                        "pub.deliver",
-                                        self.id.0,
-                                        "publish",
-                                        doc_id,
-                                        c.0,
-                                    ));
-                                }
-                            }
-                            Outbound::new(d, FrameBuf::from_payload(Arc::clone(&payload)))
-                        })
-                        .collect();
-                    self.stats.sent += routed.len() as u64;
-                    out.extend(self.wrap_outputs(routed));
-                    if let Some(ack) = ack {
-                        out.push(Outbound::from((from, ack)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Parallel-matching metrics from the routing table, when the
-    /// configured [`MatchStrategy`] is sharded (`None` otherwise).
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        self.prt.shard_stats()
-    }
-
-    /// Shared-automaton metrics from the routing table, when the
-    /// configured [`MatchStrategy`] is automaton-backed (`None`
-    /// otherwise; sharded automatons report merged shard stats).
+    /// Shared-automaton metrics from the routing table; `None` when
+    /// [`RoutingConfig::covering`] selects the covering tree.
     pub fn automaton_stats(&self) -> Option<AutomatonStats> {
         self.prt.automaton_stats()
     }
@@ -2011,11 +1759,8 @@ mod batch_tests {
     /// A broker with neighbours and subscriptions installed, identical
     /// on every call — the fixture both sides of the batch-equivalence
     /// tests start from.
-    fn batch_fixture(strategy: MatchStrategy) -> Broker {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder().strategy(strategy).build(),
-        );
+    fn batch_fixture(config: RoutingConfig) -> Broker {
+        let mut b = Broker::new(BrokerId(0), config);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         b.handle(broker_hop(2), Message::subscribe(SubId(1), xpe("/a/b")));
@@ -2057,11 +1802,11 @@ mod batch_tests {
         ]
     }
 
-    fn assert_batch_equivalent(strategy: MatchStrategy) {
-        let mut batched = batch_fixture(strategy);
+    fn assert_batch_equivalent(config: RoutingConfig) {
+        let mut batched = batch_fixture(config);
         let batched_out = batched.handle_batch(mixed_batch());
 
-        let mut sequential = batch_fixture(strategy);
+        let mut sequential = batch_fixture(config);
         let mut sequential_out = Vec::new();
         for (from, msg) in mixed_batch() {
             sequential_out.extend(sequential.handle(from, msg));
@@ -2094,49 +1839,26 @@ mod batch_tests {
 
     #[test]
     fn handle_batch_matches_sequential_handle() {
-        assert_batch_equivalent(MatchStrategy::Indexed);
-    }
-
-    #[test]
-    fn handle_batch_matches_sequential_handle_when_sharded() {
-        assert_batch_equivalent(MatchStrategy::Sharded { shards: 4 });
-    }
-
-    #[test]
-    fn handle_batch_matches_sequential_handle_with_automaton() {
-        assert_batch_equivalent(MatchStrategy::Automaton);
-    }
-
-    #[test]
-    fn handle_batch_matches_sequential_handle_when_sharded_automaton() {
-        assert_batch_equivalent(MatchStrategy::ShardedAutomaton { shards: 4 });
-    }
-
-    #[test]
-    fn automaton_stats_present_only_on_automaton_strategies() {
-        for strategy in [
-            MatchStrategy::Automaton,
-            MatchStrategy::ShardedAutomaton { shards: 2 },
-        ] {
-            let b = batch_fixture(strategy);
-            let stats = b.automaton_stats().expect("automaton strategy has stats");
-            assert_eq!(stats.live_subs, 2, "fixture installed two subscriptions");
-            assert!(stats.states > 0);
+        for covering in [false, true] {
+            assert_batch_equivalent(RoutingConfig::builder().covering(covering).build());
         }
-        for strategy in [
-            MatchStrategy::Flat,
-            MatchStrategy::Indexed,
-            MatchStrategy::Sharded { shards: 2 },
-        ] {
-            assert!(batch_fixture(strategy).automaton_stats().is_none());
-        }
+    }
+
+    #[test]
+    fn automaton_stats_present_only_without_covering() {
+        let b = batch_fixture(RoutingConfig::builder().build());
+        let stats = b.automaton_stats().expect("automaton table has stats");
+        assert_eq!(stats.live_subs, 2, "fixture installed two subscriptions");
+        assert!(stats.states > 0);
+        let covering = batch_fixture(RoutingConfig::builder().covering(true).build());
+        assert!(covering.automaton_stats().is_none());
     }
 
     #[test]
     fn handle_batch_defers_payload_while_warming() {
-        let mut batched = batch_fixture(MatchStrategy::Indexed);
+        let mut batched = batch_fixture(RoutingConfig::builder().build());
         batched.expect_sync_from(BrokerId(1));
-        let mut sequential = batch_fixture(MatchStrategy::Indexed);
+        let mut sequential = batch_fixture(RoutingConfig::builder().build());
         sequential.expect_sync_from(BrokerId(1));
 
         let batch = vec![

@@ -49,7 +49,7 @@ pub mod reliable;
 pub mod stats;
 pub mod wire;
 
-pub use broker::{Broker, MatchStrategy, Merging, RoutingConfig, RoutingConfigBuilder};
+pub use broker::{Broker, Merging, RoutingConfig, RoutingConfigBuilder};
 pub use message::{BrokerId, ClientId, Dest, Message, MessageKind, Publication};
 pub use reliable::{Admit, DedupWindow, OutboundLink, ReliabilityState};
 pub use stats::{BrokerStats, KindCounters};

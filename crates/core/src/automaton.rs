@@ -1,21 +1,15 @@
 //! The automaton-backed publication routing table.
 //!
-//! [`AutomatonPrt`] keeps the non-covering, always-forward semantics of
-//! [`crate::rtable::FlatPrt`] and [`crate::index::IndexedPrt`] but
-//! matches publications with the shared
+//! [`AutomatonPrt`] is the publication table of every non-covering
+//! broker. It keeps the always-forward semantics of
+//! [`crate::rtable::FlatPrt`] but matches publications with the shared
 //! [`xdn_xpath::automaton::PathAutomaton`]: the whole subscription set
 //! is compiled into one NFA and a publication path is matched in a
-//! single traversal, independent of how many candidates would match —
-//! where [`crate::index::IndexedPrt`] still evaluates each surviving
-//! candidate individually.
+//! single traversal, independent of how many candidates would match.
 //!
-//! The router composes like every other [`PublicationRouter`]: wrap it
-//! in [`crate::rtable::TimedRouter`] for latency histograms or shard it
-//! under [`crate::shard::ShardedRouter`] for parallel matching (the
-//! automaton's traversal scratch is thread-local, so concurrent
-//! read-side fan-out over one shard is safe). Match results are
-//! bit-identical to the flat scan (property-tested in
-//! `crates/core/tests/automaton_props.rs`).
+//! Wrap it in [`crate::rtable::TimedRouter`] for latency histograms.
+//! Match results are bit-identical to the flat scan (property-tested
+//! in `crates/core/tests/automaton_props.rs`).
 //!
 //! Subscription churn is incremental: inserts thread new steps through
 //! the shared trie and removals tombstone structure, with an amortized
@@ -30,8 +24,7 @@ use xdn_xpath::automaton::PathAutomaton;
 use xdn_xpath::Xpe;
 
 /// A snapshot of an automaton router's matching state, for metrics
-/// (the `xdn_automaton_*` Prometheus families). Sharded routers merge
-/// the per-shard snapshots with [`AutomatonStats::merge`].
+/// (the `xdn_automaton_*` Prometheus families).
 #[derive(Debug, Clone, Default)]
 pub struct AutomatonStats {
     /// NFA states currently allocated (including tombstoned structure
@@ -48,20 +41,6 @@ pub struct AutomatonStats {
     pub compactions_total: u64,
     /// Compaction rebuild durations.
     pub rebuild_seconds: Histogram,
-}
-
-impl AutomatonStats {
-    /// Folds another snapshot into this one (shard aggregation): sums
-    /// the sizes and counters, takes the maximum high-water mark, and
-    /// merges the rebuild histograms.
-    pub fn merge(&mut self, other: &AutomatonStats) {
-        self.states += other.states;
-        self.live_subs += other.live_subs;
-        self.transitions_total += other.transitions_total;
-        self.peak_active_states = self.peak_active_states.max(other.peak_active_states);
-        self.compactions_total += other.compactions_total;
-        self.rebuild_seconds.merge(&other.rebuild_seconds);
-    }
 }
 
 /// The automaton publication routing table. See the module docs.
@@ -119,8 +98,8 @@ impl<H> AutomatonPrt<H> {
 }
 
 impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> {
-    /// Always forwarded (no covering), like the flat and indexed
-    /// tables. Re-registering an id replaces its expression.
+    /// Always forwarded (no covering), like the flat table.
+    /// Re-registering an id replaces its expression.
     fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H> {
         self.nfa.insert(id.0, xpe);
         self.hops.insert(id, last_hop);
@@ -190,8 +169,7 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtable::{FlatPrt, RouteRequest, TimedRouter};
-    use crate::shard::ShardedRouter;
+    use crate::rtable::{FlatPrt, TimedRouter};
 
     fn xpe(s: &str) -> Xpe {
         s.parse().unwrap()
@@ -281,31 +259,6 @@ mod tests {
         assert_eq!(r.matching_hops(&path(&["a", "b"]), &[]).len(), 1);
         assert_eq!(r.route_times().count(), 1);
         assert!(r.automaton_stats().is_some(), "stats pass through");
-    }
-
-    #[test]
-    fn composes_under_sharded_router() {
-        let mut sharded: ShardedRouter<AutomatonPrt<u32>> = ShardedRouter::new(4);
-        let mut flat = FlatPrt::new();
-        let subs = ["/a/*", "/a/b", "a//c", "/x/y", "//b", "/*/*"];
-        for (i, s) in subs.iter().enumerate() {
-            sharded.insert(SubId(i as u64), xpe(s), i as u32);
-            flat.insert(SubId(i as u64), xpe(s), i as u32);
-        }
-        let paths = [path(&["a", "b"]), path(&["a", "q", "c"]), path(&["q"])];
-        let reqs: Vec<RouteRequest<'_>> = paths
-            .iter()
-            .map(|p| RouteRequest {
-                path: p,
-                attrs: &[],
-            })
-            .collect();
-        let batched = sharded.route_batch(&reqs);
-        for (req, got) in reqs.iter().zip(&batched) {
-            assert_eq!(*got, flat.matching_hops(req.path, req.attrs));
-        }
-        let stats = sharded.automaton_stats().expect("merged shard stats");
-        assert_eq!(stats.live_subs, 6, "sums across shards");
     }
 
     #[test]

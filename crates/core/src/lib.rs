@@ -21,19 +21,10 @@
 //!   routing table (PRT) that advertisement-based routing maintains
 //!   (§2.1, Figure 1), unified behind the
 //!   [`rtable::PublicationRouter`] trait.
-//! * [`index`] — the candidate-pruning match index: an inverted index
-//!   over the element names of registered expressions plus a
-//!   prepared-XPE cache, making publication matching sub-linear in the
-//!   subscription count.
-//! * [`automaton`] — the automaton-backed table: the whole subscription
-//!   set compiled into one shared NFA
+//! * [`automaton`] — the non-covering publication table: the whole
+//!   subscription set compiled into one shared NFA
 //!   ([`xdn_xpath::automaton::PathAutomaton`]), matching a publication
 //!   in a single traversal regardless of the candidate count.
-//! * [`shard`] — the sharded parallel router: subscriptions
-//!   hash-partitioned across independent [`index::IndexedPrt`] shards,
-//!   matched concurrently on the [`pool`] worker pool.
-//! * [`pool`] — the fixed scoped-thread worker pool behind [`shard`],
-//!   the one sanctioned thread-spawning site in the routing crates.
 //!
 //! ```
 //! use xdn_core::cover::covers;
@@ -50,18 +41,12 @@ pub mod adv;
 pub mod advmatch;
 pub mod automaton;
 pub mod cover;
-pub mod index;
 pub mod merge;
-pub mod pool;
 pub mod rtable;
-pub mod shard;
 pub mod subtree;
 
 pub use adv::{AdvKind, AdvPath, AdvSegment, Advertisement};
 pub use automaton::{AutomatonPrt, AutomatonStats};
 pub use cover::covers;
-pub use index::{CandidateKey, IndexedPrt, PreparedXpe, XpeCache};
-pub use pool::MatchPool;
-pub use rtable::{PublicationRouter, RouteRequest};
-pub use shard::{ShardStats, ShardedRouter};
+pub use rtable::PublicationRouter;
 pub use subtree::{Insertion, NodeId, SubscriptionTree};

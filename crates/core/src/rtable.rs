@@ -10,11 +10,12 @@
 //!   last hops of subscriptions it matches, tracing the reverse path
 //!   the subscription built.
 //!
-//! [`Prt`] is built on the covering [`SubscriptionTree`]; [`FlatPrt`]
-//! is the non-covering baseline used by the paper's `no-Cov` routing
-//! strategies (Tables 2 and 3). Both — and the candidate-pruning
-//! [`crate::index::IndexedPrt`] — implement [`PublicationRouter`], the
-//! strategy-agnostic interface brokers program against.
+//! [`Prt`] is built on the covering [`SubscriptionTree`]; brokers
+//! running the paper's `no-Cov` strategies (Tables 2 and 3) use
+//! [`crate::automaton::AutomatonPrt`] instead. [`FlatPrt`], a linear
+//! scan, is the reference the other tables are tested against. All
+//! three implement [`PublicationRouter`], the interface brokers program
+//! against.
 
 use crate::adv::Advertisement;
 use crate::advmatch::PreparedAdv;
@@ -153,25 +154,14 @@ impl<H: Clone + Ord> Srt<H> {
     }
 }
 
-/// One publication in a [`PublicationRouter::route_batch`] call: the
-/// root-to-leaf element path and its aligned per-element attributes,
-/// borrowed from the caller.
-#[derive(Debug, Clone, Copy)]
-pub struct RouteRequest<'a> {
-    /// Element names from root to leaf.
-    pub path: &'a [String],
-    /// Per-element attributes aligned with `path` (may be empty).
-    pub attrs: &'a [Vec<(String, String)>],
-}
-
 /// The publication routing table abstraction: everything a broker needs
 /// from its PRT, independent of the matching strategy behind it.
 ///
-/// Implemented by the covering [`Prt`], the linear-scan [`FlatPrt`],
-/// the candidate-pruning [`crate::index::IndexedPrt`], and the
-/// parallel [`crate::shard::ShardedRouter`]; brokers, the simulator,
-/// and the benches program against `Box<dyn PublicationRouter<H>>` and
-/// stop branching on strategy internals. The trait is dyn-compatible:
+/// Implemented by the covering [`Prt`], the shared-automaton
+/// [`crate::automaton::AutomatonPrt`], and the linear-scan [`FlatPrt`];
+/// brokers and the benches program against
+/// `Box<dyn PublicationRouter<H>>` and stop branching on strategy
+/// internals. The trait is dyn-compatible:
 /// the match visitor is a `&mut dyn FnMut`, and paths arrive as
 /// concrete `&[String]`.
 pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
@@ -236,24 +226,6 @@ pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
         _next_id: &mut dyn FnMut() -> SubId,
     ) -> Vec<MergeApplication> {
         Vec::new()
-    }
-
-    /// The forwarding sets for a whole batch of publications, in
-    /// request order. Sequential tables answer one request at a time;
-    /// [`crate::shard::ShardedRouter`] fans the batch across its
-    /// worker pool. Either way `route_batch(reqs)[i]` equals
-    /// `matching_hops(reqs[i].path, reqs[i].attrs)` exactly.
-    fn route_batch(&self, requests: &[RouteRequest<'_>]) -> Vec<BTreeSet<H>> {
-        requests
-            .iter()
-            .map(|r| self.matching_hops(r.path, r.attrs))
-            .collect()
-    }
-
-    /// Parallel-matching metrics (per-shard occupancy and latency,
-    /// pool counters); `None` for unsharded tables.
-    fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        None
     }
 
     /// Shared-automaton metrics (state count, transitions, rebuild
@@ -565,8 +537,9 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
     }
 }
 
-/// The non-covering baseline: a flat list of subscriptions, each
-/// matched independently (the `no-Cov` strategies of Tables 2/3).
+/// The non-covering reference table: a flat list of subscriptions, each
+/// matched independently. Brokers do not use it; it is the oracle the
+/// covering and automaton tables are tested and benchmarked against.
 #[derive(Debug, Clone)]
 pub struct FlatPrt<H> {
     entries: HashMap<SubId, (Xpe, H)>,
@@ -761,26 +734,6 @@ impl<H: Clone + Ord, R: PublicationRouter<H>> PublicationRouter<H> for TimedRout
         self.inner.apply_merging(universe, cfg, next_id)
     }
 
-    /// Delegates to the inner batch path (which may be parallel) and
-    /// spreads the batch's wall time over its requests so the
-    /// histogram's count stays one sample per routed publication.
-    fn route_batch(&self, requests: &[RouteRequest<'_>]) -> Vec<BTreeSet<H>> {
-        let sw = xdn_obs::Stopwatch::start();
-        let out = self.inner.route_batch(requests);
-        if !requests.is_empty() {
-            let per = sw.elapsed() / requests.len() as u32;
-            let mut times = self.route_times.borrow_mut();
-            for _ in requests {
-                times.record(per);
-            }
-        }
-        out
-    }
-
-    fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        self.inner.shard_stats()
-    }
-
     fn automaton_stats(&self) -> Option<crate::automaton::AutomatonStats> {
         self.inner.automaton_stats()
     }
@@ -953,28 +906,6 @@ mod tests {
                 "divergence on {p:?}"
             );
         }
-    }
-
-    #[test]
-    fn route_batch_default_matches_per_request_routing() {
-        let mut prt = Prt::new();
-        prt.insert(SubId(1), xpe("/a/*"), "h1");
-        prt.insert(SubId(2), xpe("/x"), "h2");
-        let (pa, px) = (path(&["a", "b"]), path(&["x"]));
-        let reqs = [
-            RouteRequest {
-                path: &pa,
-                attrs: &[],
-            },
-            RouteRequest {
-                path: &px,
-                attrs: &[],
-            },
-        ];
-        let batched = prt.route_batch(&reqs);
-        assert_eq!(batched[0], prt.matching_hops(&pa, &[]));
-        assert_eq!(batched[1], prt.matching_hops(&px, &[]));
-        assert!(prt.shard_stats().is_none(), "unsharded tables have none");
     }
 }
 

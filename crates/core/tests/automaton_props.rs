@@ -1,19 +1,15 @@
 //! Property test for the automaton-backed router: under arbitrary
 //! subscribe/unsubscribe churn — which exercises the shared NFA's
 //! incremental inserts, tombstoned removals, and amortized compaction
-//! rebuilds — [`AutomatonPrt`] must route exactly like an
-//! [`IndexedPrt`] holding the same subscriptions: bit-identical
-//! `(SubId, hop)` match sets for every publication, through the
-//! per-publication path, the batched
-//! [`PublicationRouter::route_batch`] path, and sharded composition.
-//! This pins the one-traversal-per-publication engine to the
-//! candidate-by-candidate reference semantics.
+//! rebuilds — [`AutomatonPrt`] must route exactly like a [`FlatPrt`]
+//! holding the same subscriptions: bit-identical `(SubId, hop)` match
+//! sets for every publication, both mid-churn and after it. This pins
+//! the one-traversal-per-publication engine to the
+//! expression-by-expression reference semantics.
 
 use proptest::prelude::*;
 use xdn_core::automaton::AutomatonPrt;
-use xdn_core::index::IndexedPrt;
-use xdn_core::rtable::{PublicationRouter, RouteRequest, SubId};
-use xdn_core::shard::ShardedRouter;
+use xdn_core::rtable::{FlatPrt, PublicationRouter, SubId};
 use xdn_xpath::{Axis, NodeTest, Predicate, Step, Xpe};
 
 /// A probe publication: element path plus per-element attribute lists.
@@ -122,15 +118,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn automaton_routes_like_indexed_under_churn(
+    fn automaton_routes_like_flat_under_churn(
         ops in arb_ops(),
         paths in prop::collection::vec(arb_path(), 6),
     ) {
-        let mut reference: IndexedPrt<u32> = IndexedPrt::new();
+        let mut reference: FlatPrt<u32> = FlatPrt::new();
         let mut automaton: AutomatonPrt<u32> = AutomatonPrt::new();
-        // Two workers force the parallel fan-out even where a lone
-        // shard (or a single-core runner) would inline it.
-        let mut sharded: ShardedRouter<AutomatonPrt<u32>> = ShardedRouter::with_threads(4, 2);
         let mut live: Vec<SubId> = Vec::new();
         let mut next = 0u64;
         for op in ops {
@@ -139,8 +132,7 @@ proptest! {
                     next += 1;
                     let id = SubId(next);
                     reference.insert(id, x.clone(), next as u32);
-                    automaton.insert(id, x.clone(), next as u32);
-                    sharded.insert(id, x, next as u32);
+                    automaton.insert(id, x, next as u32);
                     live.push(id);
                 }
                 Op::Unsubscribe(i) => {
@@ -150,7 +142,6 @@ proptest! {
                     let id = live.remove(i % live.len());
                     reference.remove(id);
                     automaton.remove(id);
-                    sharded.remove(id);
                 }
                 Op::Resubscribe(i, x) => {
                     if live.is_empty() {
@@ -159,8 +150,7 @@ proptest! {
                     let id = live[i % live.len()];
                     next += 1;
                     reference.insert(id, x.clone(), next as u32);
-                    automaton.insert(id, x.clone(), next as u32);
-                    sharded.insert(id, x, next as u32);
+                    automaton.insert(id, x, next as u32);
                 }
                 Op::Route(spec) => {
                     // Mid-churn probe: the automaton must agree while
@@ -176,30 +166,15 @@ proptest! {
             }
         }
         prop_assert_eq!(automaton.len(), PublicationRouter::len(&reference));
-        prop_assert_eq!(sharded.len(), PublicationRouter::len(&reference));
 
-        let paths: Vec<Probe> = paths.into_iter().map(probe).collect();
-        let requests: Vec<RouteRequest<'_>> = paths
-            .iter()
-            .map(|(p, a)| RouteRequest { path: p, attrs: a })
-            .collect();
-        for p in &paths {
-            let want = match_set(&reference, p);
+        for p in paths.into_iter().map(probe) {
             // Per-publication traversal, exact (SubId, hop) pairs.
-            prop_assert_eq!(match_set(&automaton, p), want.clone(), "divergence on {:?}", &p.0);
             prop_assert_eq!(
-                match_set(&sharded, p),
-                want,
-                "sharded divergence on {:?}",
+                match_set(&automaton, &p),
+                match_set(&reference, &p),
+                "divergence on {:?}",
                 &p.0
             );
         }
-        // Batched path (hop sets, as route_batch returns them).
-        let expected: Vec<_> = requests
-            .iter()
-            .map(|r| reference.matching_hops(r.path, r.attrs))
-            .collect();
-        prop_assert_eq!(&automaton.route_batch(&requests), &expected);
-        prop_assert_eq!(&sharded.route_batch(&requests), &expected);
     }
 }

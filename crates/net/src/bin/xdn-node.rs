@@ -22,24 +22,18 @@
 #![allow(clippy::exit)]
 
 use std::net::SocketAddr;
-use xdn_broker::{BrokerId, MatchStrategy, RoutingConfig};
+use xdn_broker::{BrokerId, RoutingConfig};
 use xdn_net::tcp::TcpNode;
 
 fn usage() -> ! {
     eprintln!(
         "usage: xdn-node --id <u32> --listen <addr:port> \
-         [--peer <id>=<addr:port>]... [--expect <id>]... [--strategy <name>] \
-         [--shards <n>]\n\
+         [--peer <id>=<addr:port>]... [--expect <id>]... [--strategy <name>]\n\
          --expect: neighbour that dials in (acceptor side); on a restart, \
          payload is deferred until its state re-syncs\n\
-         --shards: hash-partition the match table across <n> shards and \
-         route publication batches on the worker pool (XDN_MATCH_THREADS); \
-         forces covering off\n\
-         strategies: no-adv-no-cov | no-adv-with-cov | with-adv-no-cov | \
-         with-adv-with-cov | with-adv-with-cov-pm | with-adv-with-cov-ipm | \
-         automaton\n\
-         automaton: match with the shared subscription NFA (one traversal \
-         per publication); forces covering off, composes with --shards"
+         strategies (default with-adv-with-cov): no-adv-no-cov | \
+         no-adv-with-cov | with-adv-no-cov | with-adv-with-cov | \
+         with-adv-with-cov-pm | with-adv-with-cov-ipm"
     );
     std::process::exit(2);
 }
@@ -73,8 +67,6 @@ fn main() {
         .covering(true)
         .build();
 
-    let mut shards: Option<usize> = None;
-    let mut automaton = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -105,20 +97,9 @@ fn main() {
             }
             "--strategy" => {
                 i += 1;
-                match args.get(i) {
-                    Some(s) if canon(s) == "automaton" => automaton = true,
-                    Some(s) => match strategy_by_name(s) {
-                        Some(cfg) => strategy = cfg,
-                        None => usage(),
-                    },
+                match args.get(i).and_then(|s| strategy_by_name(s)) {
+                    Some(cfg) => strategy = cfg,
                     None => usage(),
-                }
-            }
-            "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => shards = Some(n),
-                    _ => usage(),
                 }
             }
             "--help" | "-h" => usage(),
@@ -129,22 +110,6 @@ fn main() {
     let (Some(id), Some(listen)) = (id, listen) else {
         usage()
     };
-    if automaton {
-        // Automaton matching replaces the covering organization (the
-        // shared NFA is non-covering by design; see DESIGN.md §15).
-        strategy.covering = false;
-        strategy.merging = None;
-        strategy.strategy = match shards {
-            Some(n) => MatchStrategy::ShardedAutomaton { shards: n },
-            None => MatchStrategy::Automaton,
-        };
-    } else if let Some(n) = shards {
-        // Sharded matching replaces the covering organization (shards
-        // are non-covering by design; see DESIGN.md §12).
-        strategy.covering = false;
-        strategy.merging = None;
-        strategy.strategy = MatchStrategy::Sharded { shards: n };
-    }
 
     match TcpNode::start_expecting(
         BrokerId(id),

@@ -7,9 +7,10 @@
 //! a deterministic discrete-event simulator in which the brokers'
 //! *matching computation really runs* — only the wire is simulated.
 //! Message counts are therefore exact, and delays combine configurable
-//! link latency ([`latency`]) with the measured wall-clock cost of each
-//! broker's routing work, reproducing the covering/merging effects on
-//! notification delay (Figures 10/11, Tables 2/3).
+//! link latency ([`latency`]) with a modeled cost of each broker's
+//! routing work ([`sim::ProcessingModel`]), reproducing the
+//! covering/merging effects on notification delay (Figures 10/11,
+//! Tables 2/3).
 //!
 //! * [`sim::Network`] — event-driven overlay of [`xdn_broker::Broker`]s
 //!   with attached publisher/subscriber clients.

@@ -2,17 +2,19 @@
 //!
 //! Brokers execute their real routing code; the simulator only replaces
 //! the wire. Each emitted message is scheduled at
-//! `now + processing + link delay`, where `processing` is the measured
-//! wall-clock time the broker spent handling the triggering message —
-//! so routing-table compaction genuinely shortens simulated
-//! notification delays, as it does on the paper's testbed.
+//! `now + processing + link delay`, where `processing` is the
+//! [`ProcessingModel`]'s virtual compute time for the triggering
+//! message. The default model charges a cost proportional to the
+//! broker's effective routing-table size, so routing-table compaction
+//! genuinely shortens simulated notification delays, as it does on the
+//! paper's testbed, while runs stay deterministic.
 
 use crate::latency::LatencyModel;
 use crate::metrics::{FaultDrop, MetricsSink, NetMetrics};
 use crate::sink::FrameSink;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use xdn_broker::{
     Broker, BrokerId, ClientId, Dest, Message, MessageKind, Outbound, Publication, RoutingConfig,
 };
@@ -22,21 +24,18 @@ use xdn_xml::paths::{dedup_paths, extract_paths};
 use xdn_xml::{DocId, Document};
 use xdn_xpath::Xpe;
 
-/// Whether broker compute time advances the simulated clock.
+/// How much virtual time broker compute adds to the simulated clock.
+/// Both models are deterministic: wall-clock time never enters the
+/// simulation, so identical runs report identical delays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessingModel {
-    /// Add the measured wall-clock handling time (default; reproduces
-    /// the delay experiments).
-    Measured,
-    /// Links only (deterministic; used by traffic-count tests).
+    /// Links only (used by traffic-count tests).
     Zero,
-    /// Deterministic analytic compute time: each handled frame charges
+    /// Analytic compute time: each handled frame charges
     /// `base + per_entry × prt_effective_size` of the handling broker.
-    /// Keeps the delay experiments' shape — covering compacts the
-    /// effective table, so per-hop cost genuinely drops — without the
-    /// host-load noise of `Measured` (the wall-clock model made
-    /// `delay_grows_with_hops_and_covering_wins` flaky on busy CI
-    /// runners).
+    /// The delay experiments (Figures 10/11, Tables 2/3) run on it:
+    /// covering compacts the effective table, so per-hop cost
+    /// genuinely drops. The default, as [`ProcessingModel::modeled`].
     Modeled {
         /// Fixed per-frame handling cost.
         base: Duration,
@@ -179,7 +178,7 @@ impl Network {
             next_sub: 0,
             next_doc: 0,
             metrics: NetMetrics::default(),
-            processing: ProcessingModel::Measured,
+            processing: ProcessingModel::modeled(),
             max_events: 100_000_000,
             down: std::collections::BTreeSet::new(),
             dropped_links: std::collections::BTreeSet::new(),
@@ -661,66 +660,17 @@ impl Network {
             match event.to {
                 Dest::Broker(b) => {
                     self.metrics.on_broker_message(b, event.msg.kind());
-                    let hops = event.hops;
-                    // Batch-drain: co-scheduled frames for the same
-                    // broker (same instant, same hop count, unfaulted)
-                    // are handed over in one `handle_batch` call, which
-                    // routes publication runs in parallel on sharded
-                    // tables. Grouping is deterministic — heap order is
-                    // (time, sequence) — and `handle_batch` is
-                    // output-equivalent to per-frame `handle`. Under
-                    // `Measured` and `Modeled` processing, frames stay
-                    // unbatched: the delay experiments attribute each
-                    // frame's *own* compute time to its outputs, and a
-                    // batch would charge every frame the whole batch's
-                    // elapsed.
-                    let mut batch = vec![(event.from, event.msg)];
-                    while self.processing == ProcessingModel::Zero {
-                        let Some(&Reverse((nat, nseq))) = self.queue.peek() else {
-                            break;
-                        };
-                        if nat != at {
-                            break;
-                        }
-                        let matches_run = self.events.get(&nseq).is_some_and(|next| {
-                            next.to == Dest::Broker(b)
-                                && next.hops == hops
-                                && self.fault_for(next).is_none()
-                        });
-                        if !matches_run {
-                            break;
-                        }
-                        self.queue.pop();
-                        let next = self.events.remove(&nseq).expect("event payload");
-                        processed += 1;
-                        assert!(
-                            processed <= self.max_events,
-                            "event cap exceeded: routing loop?"
-                        );
-                        self.metrics.on_broker_message(b, next.msg.kind());
-                        batch.push((next.from, next.msg));
-                    }
-                    let started = Instant::now();
                     let broker = self
                         .brokers
                         .get_mut(&b)
                         .expect("unknown broker destination");
-                    let outputs = if batch.len() == 1 {
-                        let (from, msg) = batch.pop().expect("one frame");
-                        broker.handle_frames(from, msg)
-                    } else {
-                        broker.handle_batch_frames(batch)
-                    };
-                    let effective_entries = broker.prt_effective_size();
-                    match self.processing {
-                        ProcessingModel::Measured => self.now += started.elapsed(),
-                        ProcessingModel::Modeled { base, per_entry } => {
-                            let entries = u32::try_from(effective_entries).unwrap_or(u32::MAX);
-                            self.now += base + per_entry * entries;
-                        }
-                        ProcessingModel::Zero => {}
+                    let outputs = broker.handle_frames(event.from, event.msg);
+                    if let ProcessingModel::Modeled { base, per_entry } = self.processing {
+                        let entries =
+                            u32::try_from(broker.prt_effective_size()).unwrap_or(u32::MAX);
+                        self.now += base + per_entry * entries;
                     }
-                    self.dispatch_outputs(b, outputs, hops);
+                    self.dispatch_outputs(b, outputs, event.hops);
                 }
                 Dest::Client(c) => {
                     self.metrics.on_client_message(c, event.msg.kind());

@@ -246,7 +246,11 @@ fn supervise_peer(
             if stopping.load(Ordering::SeqCst) {
                 break 'epochs;
             }
-            match TcpStream::connect(*lock_clean(&addr)) {
+            // Copy the address out: a guard in the match scrutinee would
+            // stay locked through the backoff sleep below and starve
+            // `TcpNode::redial` for seconds.
+            let target = *lock_clean(&addr);
+            match TcpStream::connect(target) {
                 Ok(s) => break s,
                 Err(_) => {
                     attempt += 1;
@@ -749,9 +753,8 @@ fn broker_loop(
             }
             Input::FromPeer(from, msg) => {
                 // Batch-drain: take every already-queued frame in one
-                // gulp so a sharded broker routes the publication run
-                // in parallel. Other input kinds end the batch and are
-                // carried into the next loop iteration.
+                // gulp. Other input kinds end the batch and are carried
+                // into the next loop iteration.
                 let mut batch = vec![(from, msg)];
                 while batch.len() < INBOX_BATCH_LIMIT {
                     match rx.try_recv() {
@@ -965,45 +968,7 @@ fn render_node_metrics(broker: &Broker, queues: &HashMap<Dest, Arc<FrameQueue>>)
         "Frame buffers dropped instead of pooled (oversized or pool full).",
         codec.pool_discards,
     ));
-    // Parallel-matching families, present only on sharded strategies.
-    if let Some(ss) = broker.shard_stats() {
-        let mut occupancy = MetricFamily::new(
-            "xdn_shard_subscriptions",
-            "Subscriptions held by each match shard.",
-        );
-        let mut shard_route = MetricFamily::new(
-            "xdn_shard_route_seconds",
-            "Per-shard publication match latency.",
-        );
-        for (i, size) in ss.shard_sizes.iter().enumerate() {
-            let label = i.to_string();
-            let size = i64::try_from(*size).unwrap_or(i64::MAX);
-            occupancy.push(&[("shard", &label)], MetricData::Gauge(size));
-        }
-        for (i, hist) in ss.route_times.iter().enumerate() {
-            let label = i.to_string();
-            shard_route.push(&[("shard", &label)], MetricData::Histogram(hist.clone()));
-        }
-        families.push(occupancy);
-        families.push(shard_route);
-        families.push(MetricFamily::gauge(
-            "xdn_match_pool_threads",
-            "Configured match pool workers.",
-            i64::try_from(ss.threads).unwrap_or(i64::MAX),
-        ));
-        families.push(MetricFamily::gauge(
-            "xdn_match_pool_queue_depth",
-            "Tasks submitted by the most recent parallel fan-out.",
-            i64::try_from(ss.queue_depth).unwrap_or(i64::MAX),
-        ));
-        families.push(MetricFamily::counter(
-            "xdn_match_pool_tasks_total",
-            "Match tasks executed by the worker pool.",
-            ss.tasks_run,
-        ));
-    }
-    // Shared-automaton families, present only on automaton strategies
-    // (sharded automatons report the merged per-shard snapshot).
+    // Shared-automaton families, present only on non-covering brokers.
     if let Some(aut) = broker.automaton_stats() {
         families.push(MetricFamily::gauge(
             "xdn_automaton_states",
@@ -1468,10 +1433,7 @@ mod tests {
 
     #[test]
     fn tcp_automaton_metrics_scrape() {
-        let mut cfg = RoutingConfig::builder().build();
-        cfg.covering = false;
-        cfg.merging = None;
-        cfg.strategy = xdn_broker::MatchStrategy::Automaton;
+        let cfg = RoutingConfig::builder().build();
         let n = TcpNode::start(BrokerId(9), cfg, ephemeral(), &[]).expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");

@@ -1,11 +1,11 @@
 //! Transport-neutral metric snapshots and their text exporters.
 //!
-//! Layers assemble [`MetricFamily`] values (from a
-//! [`crate::MetricsRegistry`], a `BrokerStats`, or ad-hoc gauges like
-//! queue depths) and hand them to [`render_prometheus`] or
-//! [`render_json`]. The Prometheus text format is the one `xdn-node`
-//! serves on its control socket; the format is covered by a golden
-//! snapshot test, so changes here are deliberate.
+//! Layers assemble [`MetricFamily`] values (from a `BrokerStats` or
+//! ad-hoc gauges like queue depths) and hand them to
+//! [`render_prometheus`] or [`render_json`]. The Prometheus text
+//! format is the one `xdn-node` serves on its control socket; the
+//! format is covered by a golden snapshot test, so changes here are
+//! deliberate.
 
 use crate::hist::Histogram;
 use std::fmt::Write as _;

@@ -6,15 +6,12 @@
 //! notification delay (Figure 9) — flows through the types in this
 //! crate instead of ad-hoc `Duration` sums scattered across layers.
 //!
-//! The crate has four pieces:
+//! The crate has three pieces:
 //!
 //! * [`Histogram`] — fixed-bucket latency histograms with exact
 //!   (u128-nanosecond) means and p50/p95/p99 quantiles. These replace
 //!   the bare `Duration` accumulators that used to live in
 //!   `BrokerStats` and silently truncated their divisors to `u32`.
-//! * [`MetricsRegistry`] — a lock-cheap registry of named atomic
-//!   [`Counter`]s and [`Gauge`]s for thread-shared contexts (the TCP
-//!   transport's per-link queues, accept loops).
 //! * [`Tracer`] — a zero-cost-when-disabled structured trace-event API.
 //!   Brokers hold an `Option<Arc<dyn Tracer>>`; the disabled path is a
 //!   single branch on `None`. [`CollectingTracer`] backs tests,
@@ -31,13 +28,11 @@
 
 pub mod export;
 pub mod hist;
-pub mod registry;
 pub mod trace;
 
 mod time;
 
 pub use export::{render_json, render_prometheus, MetricData, MetricFamily, Sample};
 pub use hist::Histogram;
-pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use time::Stopwatch;
 pub use trace::{CollectingTracer, JsonLinesTracer, NullTracer, TraceEvent, Tracer};

@@ -33,8 +33,8 @@
 //! a sorted vec probed by binary search, promoted to a `HashMap` above
 //! a fan-out threshold. The traversal keeps an active-state set per
 //! path position, deduplicated with generation-stamped marks held in
-//! thread-local scratch (the automaton itself stays `Sync`, so sharded
-//! routers can match the same instance from several pool workers).
+//! thread-local scratch (the automaton itself stays `Sync`, so several
+//! threads can match against the same instance).
 //!
 //! # Churn
 //!

@@ -34,7 +34,6 @@ use std::path::{Path, PathBuf};
 const PANIC_ROOTS: &[(&str, &str)] = &[
     ("Broker", "handle*"),
     ("*", "matching_hops"),
-    ("*", "route_batch"),
     ("OutboundLink", "wrap"),
     ("OutboundLink", "on_ack"),
     ("OutboundLink", "replay"),

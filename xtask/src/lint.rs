@@ -12,7 +12,7 @@
 //! | `kind-coverage`     | every `Message` variant is encoded *and* decoded in `wire.rs` |
 //! | `instant`           | no `Instant::now()` in broker/core hot paths — time through `xdn_obs::Stopwatch` |
 //! | `raw-publish-push`  | no queueing of a literal `Message::Publish` — publications reach the wire only through the broker's sequenced-send path |
-//! | `thread-spawn`      | no thread spawning in core/broker outside `core/src/pool.rs` — parallelism goes through the match pool, whose workers are named and joined |
+//! | `thread-spawn`      | no thread spawning in core/broker — routing and matching stay single-threaded; transports own the threads |
 //! | `encode-in-loop`    | no `wire::encode` inside a loop body outside the frame builder — per-peer fan-out must share one `FrameBuf` body, not re-encode per destination |
 //!
 //! Suppression: a comment containing `xtask: allow(<rule>)` on the
@@ -38,14 +38,11 @@ const UNWRAP_EXEMPT: &[&str] = &["crates/net/src/sim.rs"];
 /// concerns (deadlines, backoff) and are out of scope.
 const INSTANT_CRATES: &[&str] = &["crates/broker", "crates/core"];
 
-/// Crates whose non-test code must not spawn threads directly
-/// (`thread-spawn` rule): all parallelism in the matching engine goes
-/// through `xdn_core::pool::MatchPool`, whose workers are named
-/// (`xdn-match-{n}`) and joined before the call returns. A stray
-/// `thread::spawn` (or an anonymous scoped spawn) escapes the pool's
-/// sizing, metrics, and panic propagation.
+/// Crates whose non-test code must not spawn threads at all
+/// (`thread-spawn` rule): a broker and its routing tables run on the
+/// one thread its transport gives them, so every thread in the system
+/// is owned, named, and joined by a transport.
 const THREAD_SPAWN_CRATES: &[&str] = &["crates/core", "crates/broker"];
-const THREAD_SPAWN_EXEMPT: &[&str] = &["crates/core/src/pool.rs"];
 
 /// Files that must handle every `Message`/`MessageKind` variant
 /// explicitly (`kind-match` rule).
@@ -173,9 +170,7 @@ pub fn lint_file(rel: &Path, src: &str) -> Vec<Finding> {
     }
     check_unbounded_channel(rel, &lexed, &in_test, &mut findings);
     check_sleep(rel, &lexed, &in_test, &mut findings);
-    if THREAD_SPAWN_CRATES.iter().any(|c| rel.starts_with(c))
-        && !THREAD_SPAWN_EXEMPT.iter().any(|e| rel == Path::new(e))
-    {
+    if THREAD_SPAWN_CRATES.iter().any(|c| rel.starts_with(c)) {
         check_thread_spawn(rel, &lexed, &in_test, &mut findings);
     }
     if INSTANT_CRATES.iter().any(|c| rel.starts_with(c)) {
@@ -416,11 +411,11 @@ fn check_sleep(rel: &Path, lexed: &Lexed, in_test: &[bool], findings: &mut Vec<F
     }
 }
 
-/// Flags every `spawn` / `spawn_scoped` call in core/broker outside
-/// the pool module (`thread-spawn` rule). Matching on the bare method
-/// name deliberately catches `thread::spawn`, `scope.spawn(..)`, and
-/// `Builder::spawn{,_scoped}` alike — any of them creates a thread the
-/// match pool does not own.
+/// Flags every `spawn` / `spawn_scoped` call in core/broker
+/// (`thread-spawn` rule). Matching on the bare method name deliberately
+/// catches `thread::spawn`, `scope.spawn(..)`, and
+/// `Builder::spawn{,_scoped}` alike — any of them creates a thread no
+/// transport owns.
 fn check_thread_spawn(rel: &Path, lexed: &Lexed, in_test: &[bool], findings: &mut Vec<Finding>) {
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
@@ -436,10 +431,9 @@ fn check_thread_spawn(rel: &Path, lexed: &Lexed, in_test: &[bool], findings: &mu
                     file: rel.to_path_buf(),
                     line,
                     rule: "thread-spawn",
-                    message: "thread spawned outside the match pool — route parallelism \
-                              through xdn_core::pool::MatchPool so workers stay named, \
-                              bounded, and joined; justify an exception with \
-                              `xtask: allow(thread-spawn)`"
+                    message: "thread spawned in core/broker — routing runs on its \
+                              transport's thread; spawn in the transport, or justify an \
+                              exception with `xtask: allow(thread-spawn)`"
                         .to_owned(),
                 });
             }
@@ -1000,14 +994,14 @@ mod tests {
     #[test]
     fn thread_spawn_flagged_in_core_and_broker_only() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
-        let f = lint("crates/core/src/shard.rs", src);
+        let f = lint("crates/core/src/automaton.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "thread-spawn");
         assert_eq!(lint("crates/broker/src/broker.rs", src).len(), 1);
-        // Transports own their threads; the pool module is the
-        // sanctioned spawn site.
+        // No file in core is exempt.
+        assert_eq!(lint("crates/core/src/pool.rs", src).len(), 1);
+        // Transports own their threads.
         assert!(lint("crates/net/src/live.rs", src).is_empty());
-        assert!(lint("crates/core/src/pool.rs", src).is_empty());
         // Scoped and builder spawns are threads too.
         let scoped = "fn f(s: &Scope) { s.spawn(|| {}); }";
         assert_eq!(lint("crates/core/src/rtable.rs", scoped).len(), 1);
@@ -1015,10 +1009,10 @@ mod tests {
         assert_eq!(lint("crates/broker/src/reliable.rs", builder).len(), 1);
         // Tests and allow markers opt out.
         let test_src = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(|| {}); }\n}";
-        assert!(lint("crates/core/src/shard.rs", test_src).is_empty());
+        assert!(lint("crates/core/src/automaton.rs", test_src).is_empty());
         let allowed = "// xtask: allow(thread-spawn) one-shot watchdog, joined below\n\
                        fn f() { std::thread::spawn(|| {}); }";
-        assert!(lint("crates/core/src/shard.rs", allowed).is_empty());
+        assert!(lint("crates/core/src/automaton.rs", allowed).is_empty());
     }
 
     #[test]

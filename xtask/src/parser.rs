@@ -764,7 +764,7 @@ mod tests {
         let f = parse(
             "fn free() {}\n\
              impl Broker { fn handle(&mut self) {} }\n\
-             impl<R: Router> PublicationRouter<H> for ShardedRouter<R> { fn route(&self) {} }\n\
+             impl<R: Router> PublicationRouter<H> for TimedRouter<R> { fn route(&self) {} }\n\
              trait Link { fn provided(&self) { self.go(); } fn required(&self); }",
         );
         let names: Vec<String> = f.fns.iter().map(FnDef::qualified).collect();
@@ -773,7 +773,7 @@ mod tests {
             vec![
                 "free",
                 "Broker::handle",
-                "ShardedRouter::route",
+                "TimedRouter::route",
                 "Link::provided"
             ]
         );

@@ -78,14 +78,14 @@ fn panic_baseline_suppresses_known_sites() {
         &[
             (
                 "crates/core/src/rtable.rs",
-                "pub fn route_batch() -> u32 {\n\
+                "pub fn matching_hops() -> u32 {\n\
                  \x20   let v = vec![1];\n\
                  \x20   v[0]\n\
                  }\n",
             ),
             (
                 "xtask/analyze-baseline.txt",
-                "# comment\ncrates/core/src/rtable.rs\troute_batch\tindexing\n",
+                "# comment\ncrates/core/src/rtable.rs\tmatching_hops\tindexing\n",
             ),
         ],
     );
@@ -440,7 +440,7 @@ fn waiver_comment_suppresses_a_finding() {
         "waived-panic",
         &[(
             "crates/core/src/rtable.rs",
-            "pub fn route_batch() -> u32 {\n\
+            "pub fn matching_hops() -> u32 {\n\
              \x20   let v = vec![1];\n\
              \x20   // xtask: allow(panic-path) bounded by construction\n\
              \x20   v[0]\n\
@@ -457,7 +457,7 @@ fn report_json_counts_fixture_shape() {
         "report-shape",
         &[(
             "crates/core/src/rtable.rs",
-            "pub fn route_batch() -> u32 {\n\
+            "pub fn matching_hops() -> u32 {\n\
              \x20   let v = vec![1];\n\
              \x20   v[0]\n\
              }\n",
