@@ -1,7 +1,7 @@
 //! Criterion bench behind Table 1: per-publication routing time.
 //!
 //! Routes NITF publication paths against a loaded routing table in
-//! four organizations: flat scan, covering tree, covering + perfect
+//! four organizations: flat scan, covering table, covering + perfect
 //! merging, covering + imperfect merging.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -10,7 +10,7 @@
 //! `EXPERIMENTS.md` for the side-by-side reading.
 
 use std::time::Instant;
-use xdn_bench::report::{ms, render_table};
+use xdn_bench::report::{ms, render_table, us};
 use xdn_bench::{delay, fig6, fig7, fig8, fig9, table1, traffic, Scale};
 
 fn main() {
@@ -204,10 +204,10 @@ fn run_table1(scale: &Scale) {
         .map(|i| {
             vec![
                 t.methods[i].to_string(),
-                ms(t.set_a[i].mean()),
-                ms(t.set_a[i].p95()),
-                ms(t.set_b[i].mean()),
-                ms(t.set_b[i].p95()),
+                us(t.set_a[i].mean()),
+                us(t.set_a[i].p95()),
+                us(t.set_b[i].mean()),
+                us(t.set_b[i].p95()),
             ]
         })
         .collect();
@@ -215,15 +215,17 @@ fn run_table1(scale: &Scale) {
         "{}",
         render_table(
             &format!(
-                "Table 1. Publication Routing Performance ({} publications)",
-                t.publications
+                "Table 1. Publication Routing Performance ({} publications, \
+                 each its fastest of {} passes)",
+                t.publications,
+                table1::ROUNDS
             ),
             &[
                 "Method",
-                "Set A mean (ms)",
-                "Set A p95 (ms)",
-                "Set B mean (ms)",
-                "Set B p95 (ms)"
+                "Set A mean (us)",
+                "Set A p95 over pubs (us)",
+                "Set B mean (us)",
+                "Set B p95 over pubs (us)"
             ],
             &rows,
         )

@@ -43,6 +43,11 @@ pub fn ms(d: std::time::Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
+/// Formats a `Duration` as fractional microseconds.
+pub fn us(d: std::time::Duration) -> String {
+    format!("{:.3}", d.as_secs_f64() * 1e6)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,5 +77,10 @@ mod tests {
     #[test]
     fn ms_format() {
         assert_eq!(ms(std::time::Duration::from_micros(1500)), "1.500");
+    }
+
+    #[test]
+    fn us_format() {
+        assert_eq!(us(std::time::Duration::from_nanos(1500)), "1.500");
     }
 }

@@ -518,13 +518,34 @@ impl Broker {
     }
 
     /// Processes a whole transport drain in one call: the output is
-    /// exactly that of [`Broker::handle_frames`] over the batch in
-    /// order, concatenated.
+    /// that of [`Broker::handle_frames`] over the batch in order,
+    /// concatenated, except that each sender gets only the last
+    /// [`Message::Ack`] the batch owes it, at that ack's own position.
+    /// Acks are cumulative, so the dropped ones carry nothing the last
+    /// one lacks. [`BrokerStats::sent`] counts only the frames
+    /// returned. How many acks go out thus depends on where the drain
+    /// was cut; a transport whose traffic must repeat exactly for the
+    /// same input calls [`Broker::handle_frames`] per frame instead.
     pub fn handle_batch_frames(&mut self, batch: Vec<(Dest, Message)>) -> Vec<Outbound> {
-        batch
+        let mut out: Vec<Outbound> = batch
             .into_iter()
             .flat_map(|(from, msg)| self.handle_frames(from, msg))
-            .collect()
+            .collect();
+        let mut last_ack: BTreeMap<Dest, usize> = BTreeMap::new();
+        for (i, ob) in out.iter().enumerate() {
+            if ob.kind == MessageKind::Ack {
+                last_ack.insert(ob.dest, i);
+            }
+        }
+        let before = out.len();
+        let mut i = 0;
+        out.retain(|ob| {
+            let keep = ob.kind != MessageKind::Ack || last_ack.get(&ob.dest) == Some(&i);
+            i += 1;
+            keep
+        });
+        self.stats.sent -= (before - out.len()) as u64;
+        out
     }
 
     /// Shared-automaton metrics from the routing table; `None` when
@@ -1771,12 +1792,13 @@ mod batch_tests {
     /// Sequenced publication frames as a real neighbour would emit
     /// them: produced by a peer broker whose table routes toward this
     /// one, so epochs, sequence numbers, and low-watermarks are the
-    /// reliability layer's own.
-    fn sequenced_publications(n: usize) -> Vec<Message> {
+    /// reliability layer's own. The sender comes back too, awaiting
+    /// acks for every frame.
+    fn sender_with_publications(n: usize) -> (Broker, Vec<Message>) {
         let mut sender = Broker::new(BrokerId(1), RoutingConfig::builder().build());
         sender.add_neighbor(BrokerId(0));
         sender.handle(broker_hop(0), Message::subscribe(SubId(9), xpe("//b")));
-        (0..n)
+        let frames = (0..n)
             .map(|i| {
                 let mut p = publication(&["a", "b"]);
                 p.doc_id = DocId(100 + i as u64);
@@ -1784,14 +1806,14 @@ mod batch_tests {
                 assert_eq!(out.len(), 1, "publication routes to broker 0");
                 out.remove(0).1
             })
-            .collect()
+            .collect();
+        (sender, frames)
     }
 
     /// The batch every equivalence test replays: a run of bare
     /// publications, a control-plane barrier, fresh sequenced
     /// publications, and a duplicated sequenced frame.
-    fn mixed_batch() -> Vec<(Dest, Message)> {
-        let seqs = sequenced_publications(2);
+    fn mixed_batch(seqs: &[Message]) -> Vec<(Dest, Message)> {
         vec![
             (broker_hop(1), Message::Publish(publication(&["a", "b"]))),
             (broker_hop(1), Message::Publish(publication(&["a", "c"]))),
@@ -1802,29 +1824,70 @@ mod batch_tests {
         ]
     }
 
+    fn is_ack(m: &Message) -> bool {
+        matches!(m, Message::Ack { .. })
+    }
+
+    /// Feeds every ack in `out` addressed to broker 1 back to `sender`.
+    fn return_acks(sender: &mut Broker, out: &[(Dest, Message)]) {
+        for (d, m) in out {
+            if *d == broker_hop(1) && is_ack(m) {
+                sender.handle(broker_hop(0), m.clone());
+            }
+        }
+    }
+
+    /// The batch contract: the batched output is the sequential output
+    /// minus each sender's superseded acks, and nothing else differs.
     fn assert_batch_equivalent(config: RoutingConfig) {
+        let (mut batch_sender, seqs) = sender_with_publications(2);
+        let (mut sequential_sender, _) = sender_with_publications(2);
         let mut batched = batch_fixture(config);
-        let batched_out = batched.handle_batch(mixed_batch());
+        let batched_out = batched.handle_batch(mixed_batch(&seqs));
 
         let mut sequential = batch_fixture(config);
         let mut sequential_out = Vec::new();
-        for (from, msg) in mixed_batch() {
+        for (from, msg) in mixed_batch(&seqs) {
             sequential_out.extend(sequential.handle(from, msg));
         }
 
+        // The sequential run's last ack to each sender, by position.
+        let mut last_ack: BTreeMap<Dest, usize> = BTreeMap::new();
+        for (i, (d, m)) in sequential_out.iter().enumerate() {
+            if is_ack(m) {
+                last_ack.insert(*d, i);
+            }
+        }
+        let expected: Vec<(Dest, Message)> = sequential_out
+            .iter()
+            .enumerate()
+            .filter(|(i, (d, m))| !is_ack(m) || last_ack.get(d) == Some(i))
+            .map(|(_, x)| x.clone())
+            .collect();
         assert_eq!(
-            batched_out, sequential_out,
-            "handle_batch must emit exactly the sequential outputs, in order"
+            batched_out, expected,
+            "handle_batch emits the sequential outputs in order, minus superseded acks"
         );
+        let removed = sequential_out.len() - batched_out.len();
+        assert_eq!(removed, 2, "three acks owed to broker 1, one kept");
+        let kept: Vec<&(Dest, Message)> = batched_out.iter().filter(|(_, m)| is_ack(m)).collect();
+        let last: Vec<&(Dest, Message)> = last_ack.values().map(|&i| &sequential_out[i]).collect();
+        assert_eq!(kept, last, "each kept ack is the sequential run's last");
+        assert_eq!(kept, [&(broker_hop(1), Message::Ack { epoch: 1, seq: 2 })]);
         assert!(
             batched_out
                 .iter()
                 .any(|(_, m)| matches!(m.kind(), MessageKind::Publish)),
             "fixture must actually route publications"
         );
+
         let (bs, ss) = (batched.stats(), sequential.stats());
         assert_eq!(bs.received, ss.received, "per-kind received counters");
-        assert_eq!(bs.sent, ss.sent);
+        assert_eq!(
+            ss.sent - bs.sent,
+            removed as u64,
+            "sent counts emitted frames"
+        );
         assert_eq!(bs.deliveries, ss.deliveries);
         assert_eq!(bs.dup_frames, ss.dup_frames);
         assert_eq!(bs.stale_frames, ss.stale_frames);
@@ -1835,6 +1898,16 @@ mod batch_tests {
         );
         assert_eq!(batched.routing_signature(), sequential.routing_signature());
         assert_eq!(batched.unacked_total(), sequential.unacked_total());
+
+        // The one cumulative ack prunes the sender exactly as the three.
+        assert_eq!(batch_sender.unacked_total(), 2);
+        return_acks(&mut batch_sender, &batched_out);
+        return_acks(&mut sequential_sender, &sequential_out);
+        assert_eq!(
+            batch_sender.unacked_total(),
+            sequential_sender.unacked_total()
+        );
+        assert_eq!(batch_sender.unacked_total(), 0);
     }
 
     #[test]
@@ -1842,6 +1915,35 @@ mod batch_tests {
         for covering in [false, true] {
             assert_batch_equivalent(RoutingConfig::builder().covering(covering).build());
         }
+    }
+
+    #[test]
+    fn batch_of_fresh_frames_owes_one_ack() {
+        const N: usize = 5;
+        let (mut sender, seqs) = sender_with_publications(N);
+        let mut b = batch_fixture(RoutingConfig::builder().covering(true).build());
+        let batch: Vec<(Dest, Message)> = seqs.into_iter().map(|m| (broker_hop(1), m)).collect();
+        let sent_before = b.stats().sent;
+        let out = b.handle_batch(batch);
+        let acks: Vec<&(Dest, Message)> = out.iter().filter(|(_, m)| is_ack(m)).collect();
+        assert_eq!(
+            acks,
+            [&(
+                broker_hop(1),
+                Message::Ack {
+                    epoch: 1,
+                    seq: N as u64
+                }
+            )]
+        );
+        assert_eq!(
+            out.last(),
+            acks.first().copied(),
+            "the ack sits where the last frame's ack would"
+        );
+        assert_eq!(b.stats().sent - sent_before, out.len() as u64);
+        return_acks(&mut sender, &out);
+        assert_eq!(sender.unacked_total(), 0, "one ack covers all {N} frames");
     }
 
     #[test]

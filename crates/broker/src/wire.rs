@@ -878,8 +878,20 @@ mod tests {
         out
     }
 
+    /// Held by every test here that encodes or counts: the counting
+    /// tests assert deltas of the process-wide [`CodecStats`], which an
+    /// encoding test on another test thread would otherwise bump.
+    static CODEC: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn codec_lock() -> std::sync::MutexGuard<'static, ()> {
+        CODEC
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn roundtrip_every_kind() {
+        let _codec = codec_lock();
         for msg in samples() {
             let bytes = frame_of(&msg);
             let (decoded, consumed) = decode_frame(&bytes).expect("decode");
@@ -890,6 +902,7 @@ mod tests {
 
     #[test]
     fn frames_concatenate() {
+        let _codec = codec_lock();
         let msgs = samples();
         let mut stream = Vec::new();
         for m in &msgs {
@@ -907,6 +920,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
+        let _codec = codec_lock();
         let bytes = frame_of(&samples()[0]);
         for cut in [0, 2, 4, bytes.len() - 1] {
             assert!(
@@ -949,6 +963,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
+        let _codec = codec_lock();
         let bytes = frame_of(&Message::Unsubscribe { id: SubId(1) });
         let mut grown = Vec::new();
         grown.put_u32(bytes.len() as u32 - 4 + 1);
@@ -959,6 +974,7 @@ mod tests {
 
     #[test]
     fn nested_reliability_frames_rejected() {
+        let _codec = codec_lock();
         // Hand-build sequenced(sequenced(heartbeat)) and
         // sequenced(ack): both must be refused by the depth guard.
         let seq_hb = Message::Sequenced {
@@ -984,6 +1000,7 @@ mod tests {
 
     #[test]
     fn sequenced_truncated_inner_rejected() {
+        let _codec = codec_lock();
         let msg = Message::Sequenced {
             epoch: 1,
             seq: 2,
@@ -1001,6 +1018,7 @@ mod tests {
 
     #[test]
     fn publish_size_overhead_is_small() {
+        let _codec = codec_lock();
         let p = Message::Publish(Publication {
             doc_id: DocId(1),
             path_id: PathId(0),
@@ -1016,6 +1034,7 @@ mod tests {
 
     #[test]
     fn framebuf_matches_flat_encoding_and_shares_one_body() {
+        let _codec = codec_lock();
         for msg in samples() {
             let frame = FrameBuf::from_message(msg.clone());
             assert_eq!(frame.to_wire_bytes(), frame_of(&msg), "{msg:?}");
@@ -1059,6 +1078,7 @@ mod tests {
 
     #[test]
     fn framebuf_write_to_is_byte_identical() {
+        let _codec = codec_lock();
         for msg in samples() {
             let frame = FrameBuf::from_message(msg.clone());
             let mut sink = Vec::new();
@@ -1069,6 +1089,7 @@ mod tests {
 
     #[test]
     fn write_all_vectored_survives_short_writes() {
+        let _codec = codec_lock();
         /// A writer that accepts one byte per call.
         struct Trickle(Vec<u8>);
         impl Write for Trickle {
@@ -1097,6 +1118,7 @@ mod tests {
 
     #[test]
     fn pool_round_trips_and_discards_oversized() {
+        let _codec = codec_lock();
         let before = codec_stats();
         let buf = pool_acquire();
         pool_release(buf);

@@ -7,7 +7,6 @@
 //! is compiled into one NFA and a publication path is matched in a
 //! single traversal, independent of how many candidates would match.
 //!
-//! Wrap it in [`crate::rtable::TimedRouter`] for latency histograms.
 //! Match results are bit-identical to the flat scan (property-tested
 //! in `crates/core/tests/automaton_props.rs`).
 //!
@@ -46,9 +45,10 @@ pub struct AutomatonStats {
 /// The automaton publication routing table. See the module docs.
 #[derive(Debug)]
 pub struct AutomatonPrt<H> {
+    /// Indexes `entries`, one token per subscription (the id).
     nfa: PathAutomaton,
-    /// Last hop per subscription (expressions live in the automaton).
-    hops: HashMap<SubId, H>,
+    /// Expression and last hop per subscription.
+    entries: HashMap<SubId, (Xpe, H)>,
     rebuild_seconds: Histogram,
 }
 
@@ -63,7 +63,7 @@ impl<H> AutomatonPrt<H> {
     pub fn new() -> Self {
         AutomatonPrt {
             nfa: PathAutomaton::new(),
-            hops: HashMap::new(),
+            entries: HashMap::new(),
             rebuild_seconds: Histogram::new(),
         }
     }
@@ -88,12 +88,12 @@ impl<H> AutomatonPrt<H> {
 
     /// Number of stored subscriptions.
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.entries.len()
     }
 
     /// True if no subscriptions are stored.
     pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -101,8 +101,8 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
     /// Always forwarded (no covering), like the flat table.
     /// Re-registering an id replaces its expression.
     fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H> {
-        self.nfa.insert(id.0, xpe);
-        self.hops.insert(id, last_hop);
+        self.nfa.insert(id.0, &xpe);
+        self.entries.insert(id, (xpe, last_hop));
         SubscribeOutcome {
             forward: true,
             retract: Vec::new(),
@@ -111,12 +111,14 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
     }
 
     fn remove(&mut self, id: SubId) -> UnsubscribeOutcome {
-        let known = self.hops.remove(&id).is_some();
+        let known = self.entries.remove(&id).is_some();
         if known {
             self.nfa.remove(id.0);
             if self.nfa.needs_compaction() {
                 let sw = Stopwatch::start();
-                self.nfa.compact();
+                let entries = &self.entries;
+                self.nfa
+                    .compact(|token| entries.get(&SubId(token)).map(|(xpe, _)| xpe));
                 self.rebuild_seconds.record(sw.elapsed());
             }
         }
@@ -134,7 +136,7 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
     ) {
         self.nfa.for_each_match(path, attrs, &mut |token| {
             let id = SubId(token);
-            if let Some(hop) = self.hops.get(&id) {
+            if let Some((_, hop)) = self.entries.get(&id) {
                 f(id, hop);
             }
         });
@@ -145,19 +147,15 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
     }
 
     fn xpe_of(&self, id: SubId) -> Option<&Xpe> {
-        self.nfa.xpe(id.0)
+        self.entries.get(&id).map(|(xpe, _)| xpe)
     }
 
     /// Every stored subscription with its last hop (all are forwarded,
     /// as in the flat scheme).
     fn forwarded_subs(&self) -> Vec<(SubId, Xpe, Vec<H>)> {
-        self.hops
+        self.entries
             .iter()
-            .filter_map(|(&id, hop)| {
-                self.nfa
-                    .xpe(id.0)
-                    .map(|xpe| (id, xpe.clone(), vec![hop.clone()]))
-            })
+            .map(|(&id, (xpe, hop))| (id, xpe.clone(), vec![hop.clone()]))
             .collect()
     }
 
@@ -169,7 +167,7 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtable::{FlatPrt, TimedRouter};
+    use crate::rtable::FlatPrt;
 
     fn xpe(s: &str) -> Xpe {
         s.parse().unwrap()
@@ -250,15 +248,6 @@ mod tests {
             let p = path(&["a", &format!("b{i}"), "c", "d"]);
             assert_eq!(aut.matching_hops(&p, &[]).len(), 1);
         }
-    }
-
-    #[test]
-    fn composes_under_timed_router() {
-        let mut r: TimedRouter<AutomatonPrt<u32>> = TimedRouter::new(AutomatonPrt::new());
-        r.insert(SubId(1), xpe("/a/b"), 7);
-        assert_eq!(r.matching_hops(&path(&["a", "b"]), &[]).len(), 1);
-        assert_eq!(r.route_times().count(), 1);
-        assert!(r.automaton_stats().is_some(), "stats pass through");
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! * [`cover`] — the covering (containment) algorithms of §4.2
 //!   (`AbsSimCov`, `RelSimCov`, `DesCov`).
 //! * [`subtree`] — the subscription tree with super pointers (§4.1),
-//!   the router's core data structure.
+//!   which decides what a covering broker forwards.
 //! * [`merge`] — the merging rules and the imperfect-merging degree
 //!   `D_imperfect` (§4.3).
 //! * [`rtable`] — the subscription routing table (SRT) and publication
 //!   routing table (PRT) that advertisement-based routing maintains
 //!   (§2.1, Figure 1), unified behind the
-//!   [`rtable::PublicationRouter`] trait.
+//!   [`rtable::PublicationRouter`] trait. The covering PRT keeps the
+//!   subscription tree for forwarding and matches publications on an
+//!   embedded shared automaton.
 //! * [`automaton`] — the non-covering publication table: the whole
 //!   subscription set compiled into one shared NFA
 //!   ([`xdn_xpath::automaton::PathAutomaton`]), matching a publication

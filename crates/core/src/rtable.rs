@@ -10,18 +10,22 @@
 //!   last hops of subscriptions it matches, tracing the reverse path
 //!   the subscription built.
 //!
-//! [`Prt`] is built on the covering [`SubscriptionTree`]; brokers
-//! running the paper's `no-Cov` strategies (Tables 2 and 3) use
-//! [`crate::automaton::AutomatonPrt`] instead. [`FlatPrt`], a linear
-//! scan, is the reference the other tables are tested against. All
-//! three implement [`PublicationRouter`], the interface brokers program
-//! against.
+//! [`Prt`] is built on the covering [`SubscriptionTree`], which makes
+//! the subscribe-time decisions (what to forward, retract and promote;
+//! merging; the effective table size). It does not match publications:
+//! every tree node is a token in an embedded [`PathAutomaton`], and a
+//! publication is routed with one traversal of that. Brokers running the paper's `no-Cov` strategies (Tables 2
+//! and 3) use [`crate::automaton::AutomatonPrt`] instead. [`FlatPrt`],
+//! a linear scan, is the reference the other tables are tested
+//! against. All three implement [`PublicationRouter`], the interface
+//! brokers program against.
 
 use crate::adv::Advertisement;
 use crate::advmatch::PreparedAdv;
 use crate::subtree::{Insertion, NodeId, SubscriptionTree};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use xdn_xpath::automaton::PathAutomaton;
 use xdn_xpath::Xpe;
 
 /// Network-wide identifier of an advertisement.
@@ -268,12 +272,14 @@ pub struct UnsubscribeOutcome {
 
 /// The covering publication routing table: a [`SubscriptionTree`] whose
 /// payloads are the ⟨subscription id, last hop⟩ pairs sharing an
-/// expression.
+/// expression, indexed for matching by a [`PathAutomaton`].
 #[derive(Debug)]
 pub struct Prt<H> {
     tree: SubscriptionTree<Vec<(SubId, H)>>,
+    /// Every tree node, keyed by [`token`]. A merger's empty payload
+    /// adds no hop, so registering it does not change matching.
+    nfa: PathAutomaton,
     by_sub: HashMap<SubId, NodeId>,
-    by_xpe: HashMap<Xpe, NodeId>,
     /// Synthetic merger subscriptions (empty payload) by node.
     synthetic: HashMap<NodeId, SubId>,
 }
@@ -282,11 +288,21 @@ impl<H> Default for Prt<H> {
     fn default() -> Self {
         Prt {
             tree: SubscriptionTree::new(),
+            nfa: PathAutomaton::new(),
             by_sub: HashMap::new(),
-            by_xpe: HashMap::new(),
             synthetic: HashMap::new(),
         }
     }
+}
+
+/// The automaton token of a tree node.
+fn token(node: NodeId) -> u64 {
+    u64::from(node.0)
+}
+
+/// The tree node an automaton token stands for.
+fn node_of(token: u64) -> Option<NodeId> {
+    u32::try_from(token).ok().map(NodeId)
 }
 
 /// One merger produced by [`Prt::apply_merging`], with the control
@@ -338,6 +354,17 @@ impl<H: Clone + Ord> Prt<H> {
         self.by_sub.get(&id).map(|&n| self.tree.xpe(n))
     }
 
+    /// The node storing an expression equal to `xpe`. Equal
+    /// expressions end at the same automaton state, so its tokens are
+    /// the candidates.
+    fn node_with(&self, xpe: &Xpe) -> Option<NodeId> {
+        self.nfa
+            .tokens_at(xpe)
+            .iter()
+            .filter_map(|&t| node_of(t))
+            .find(|&n| self.tree.get(n).is_some_and(|(x, _)| x == xpe))
+    }
+
     /// Number of distinct expressions stored (tree nodes).
     pub fn len(&self) -> usize {
         self.tree.len()
@@ -369,8 +396,8 @@ impl<H: Clone + Ord> Prt<H> {
         for (node, demoted) in report.mergers {
             let merger_id = next_id();
             self.by_sub.insert(merger_id, node);
-            self.by_xpe.insert(self.tree.xpe(node).clone(), node);
             self.synthetic.insert(node, merger_id);
+            self.nfa.insert(token(node), self.tree.xpe(node));
             let mut retract = Vec::new();
             for d in demoted {
                 retract.extend(self.tree.payload(d).iter().map(|(s, _)| *s));
@@ -387,11 +414,6 @@ impl<H: Clone + Ord> Prt<H> {
         out
     }
 
-    /// Access to the underlying tree (merging, diagnostics).
-    pub fn tree_mut(&mut self) -> &mut SubscriptionTree<Vec<(SubId, H)>> {
-        &mut self.tree
-    }
-
     /// Shared access to the underlying tree.
     pub fn tree(&self) -> &SubscriptionTree<Vec<(SubId, H)>> {
         &self.tree
@@ -404,10 +426,10 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
     /// expression demotes the top-level expressions it covers, which
     /// are reported in [`SubscribeOutcome::retract`].
     fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H> {
-        if let Some(&node) = self.by_xpe.get(&xpe) {
-            let payload = self.tree.payload_mut(node);
+        if let Some(node) = self.node_with(&xpe) {
             // Re-forwarded subscriptions (advertisement re-evaluation)
             // are idempotent.
+            let payload = self.tree.payload_mut(node);
             if !payload.contains(&(id, last_hop.clone())) {
                 payload.push((id, last_hop.clone()));
             }
@@ -421,9 +443,9 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
                 covered_root_hops: self.root_hops_of(node, &last_hop),
             };
         }
-        let insertion = self.tree.insert(xpe.clone(), vec![(id, last_hop.clone())]);
+        let insertion = self.tree.insert(xpe, vec![(id, last_hop.clone())]);
         let node = insertion.id();
-        self.by_xpe.insert(xpe, node);
+        self.nfa.insert(token(node), self.tree.xpe(node));
         self.by_sub.insert(id, node);
         match insertion {
             Insertion::CoveredBy { .. } => SubscribeOutcome {
@@ -463,9 +485,17 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
             };
         }
         let was_top = self.tree.parent(node).is_none();
-        self.by_xpe.remove(&self.tree.xpe(node).clone());
-        self.synthetic.remove(&node);
+        if let Some(merger_id) = self.synthetic.remove(&node) {
+            // A merger a subscriber had joined goes with its node.
+            self.by_sub.remove(&merger_id);
+        }
         let (_, promoted) = self.tree.remove(node);
+        self.nfa.remove(token(node));
+        if self.nfa.needs_compaction() {
+            let tree = &self.tree;
+            self.nfa
+                .compact(|t| node_of(t).and_then(|n| tree.get(n)).map(|(xpe, _)| xpe));
+        }
         UnsubscribeOutcome {
             forward: was_top,
             promote: promoted
@@ -487,12 +517,13 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
         attrs: &[Vec<(String, String)>],
         f: &mut dyn FnMut(SubId, &H),
     ) {
-        self.tree
-            .for_each_matching_with_attrs(path, attrs, |_, subs| {
+        self.nfa.for_each_match(path, attrs, &mut |t| {
+            if let Some((_, subs)) = node_of(t).and_then(|n| self.tree.get(n)) {
                 for (id, hop) in subs {
                     f(*id, hop);
                 }
-            });
+            }
+        });
     }
 
     fn len(&self) -> usize {
@@ -626,119 +657,6 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for FlatPrt<H> {
     }
 }
 
-/// A [`PublicationRouter`] decorator that records per-operation latency
-/// into [`xdn_obs::Histogram`]s: one for match/route calls
-/// ([`TimedRouter::route_times`]), one for subscription inserts
-/// ([`TimedRouter::insert_times`]).
-///
-/// This is the sanctioned timing hook for routing-table operations —
-/// benchmark reports read these histograms instead of re-deriving means
-/// from ad-hoc `Instant` arithmetic (which `cargo xtask lint` forbids
-/// in this crate).
-#[derive(Debug, Default)]
-pub struct TimedRouter<R> {
-    inner: R,
-    route_times: std::cell::RefCell<xdn_obs::Histogram>,
-    insert_times: std::cell::RefCell<xdn_obs::Histogram>,
-}
-
-impl<R> TimedRouter<R> {
-    /// Wraps `inner`, starting with empty histograms.
-    pub fn new(inner: R) -> Self {
-        TimedRouter {
-            inner,
-            route_times: std::cell::RefCell::new(xdn_obs::Histogram::new()),
-            insert_times: std::cell::RefCell::new(xdn_obs::Histogram::new()),
-        }
-    }
-
-    /// The wrapped router.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// The wrapped router, mutably. Operations through this reference
-    /// bypass timing.
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-
-    /// Unwraps the router, dropping the recorded times.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    /// Snapshot of the match/route latency distribution.
-    pub fn route_times(&self) -> xdn_obs::Histogram {
-        self.route_times.borrow().clone()
-    }
-
-    /// Snapshot of the insert latency distribution.
-    pub fn insert_times(&self) -> xdn_obs::Histogram {
-        self.insert_times.borrow().clone()
-    }
-
-    /// Clears both histograms (e.g. between a warm-up and a measured
-    /// phase).
-    pub fn reset_times(&self) {
-        *self.route_times.borrow_mut() = xdn_obs::Histogram::new();
-        *self.insert_times.borrow_mut() = xdn_obs::Histogram::new();
-    }
-}
-
-impl<H: Clone + Ord, R: PublicationRouter<H>> PublicationRouter<H> for TimedRouter<R> {
-    fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H> {
-        let sw = xdn_obs::Stopwatch::start();
-        let outcome = self.inner.insert(id, xpe, last_hop);
-        self.insert_times.borrow_mut().record(sw.elapsed());
-        outcome
-    }
-
-    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome {
-        self.inner.remove(id)
-    }
-
-    fn for_each_matching_with_attrs(
-        &self,
-        path: &[String],
-        attrs: &[Vec<(String, String)>],
-        f: &mut dyn FnMut(SubId, &H),
-    ) {
-        let sw = xdn_obs::Stopwatch::start();
-        self.inner.for_each_matching_with_attrs(path, attrs, f);
-        self.route_times.borrow_mut().record(sw.elapsed());
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn xpe_of(&self, id: SubId) -> Option<&Xpe> {
-        self.inner.xpe_of(id)
-    }
-
-    fn forwarded_subs(&self) -> Vec<(SubId, Xpe, Vec<H>)> {
-        self.inner.forwarded_subs()
-    }
-
-    fn effective_size(&self) -> usize {
-        self.inner.effective_size()
-    }
-
-    fn apply_merging(
-        &mut self,
-        universe: &[Vec<String>],
-        cfg: &crate::merge::MergeConfig,
-        next_id: &mut dyn FnMut() -> SubId,
-    ) -> Vec<MergeApplication> {
-        self.inner.apply_merging(universe, cfg, next_id)
-    }
-
-    fn automaton_stats(&self) -> Option<crate::automaton::AutomatonStats> {
-        self.inner.automaton_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,22 +672,6 @@ mod tests {
 
     fn path(p: &[&str]) -> Vec<String> {
         p.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn timed_router_records_and_delegates() {
-        let mut r: TimedRouter<FlatPrt<u32>> = TimedRouter::new(FlatPrt::new());
-        r.insert(SubId(1), xpe("/a/b"), 7);
-        r.insert(SubId(2), xpe("//c"), 8);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.insert_times().count(), 2);
-        let hops = r.matching_hops(&["a".to_string(), "b".to_string()], &[]);
-        assert_eq!(hops.into_iter().collect::<Vec<_>>(), vec![7]);
-        assert_eq!(r.route_times().count(), 1);
-        r.reset_times();
-        assert!(r.route_times().is_empty());
-        assert!(r.insert_times().is_empty());
-        assert_eq!(r.into_inner().len(), 2);
     }
 
     #[test]
@@ -868,6 +770,69 @@ mod tests {
             "another subscriber still needs the expression"
         );
         assert_eq!(prt.matching_hops(&path(&["a", "b"]), &[]).len(), 1);
+    }
+
+    #[test]
+    fn prt_subscriber_joins_merger_then_leaves() {
+        let mut prt = Prt::new();
+        prt.insert(SubId(1), xpe("/a/b"), "h1");
+        prt.insert(SubId(2), xpe("/a/c"), "h2");
+        let universe = [path(&["a", "b"]), path(&["a", "c"])];
+        let applied = prt.apply_merging(&universe, &crate::merge::MergeConfig::default(), || {
+            SubId(100)
+        });
+        assert_eq!(applied.len(), 1);
+        assert_eq!(applied[0].xpe, xpe("/a/*"));
+        let hops = |prt: &Prt<&'static str>, p: &[&str]| -> Vec<&'static str> {
+            prt.matching_hops(&path(p), &[]).into_iter().collect()
+        };
+        // The merger alone adds no hop.
+        assert!(hops(&prt, &["a", "d"]).is_empty());
+        assert_eq!(hops(&prt, &["a", "b"]), ["h1"]);
+
+        // An equal subscription joins the merger's node and is matched.
+        let joined = prt.insert(SubId(3), xpe("/a/*"), "h3");
+        assert!(!joined.forward, "the merger was already forwarded");
+        assert!(joined.covered_root_hops.is_empty(), "mergers owe nothing");
+        assert_eq!(prt.len(), 3, "no new node");
+        assert_eq!(hops(&prt, &["a", "d"]), ["h3"]);
+        assert_eq!(hops(&prt, &["a", "b"]), ["h1", "h3"]);
+
+        // Its leaving drops the merger and uncovers what it absorbed.
+        let left = prt.remove(SubId(3));
+        assert!(left.forward);
+        let mut promoted = left.promote;
+        promoted.sort();
+        assert_eq!(promoted, [SubId(1), SubId(2)]);
+        assert!(hops(&prt, &["a", "d"]).is_empty());
+        assert_eq!(hops(&prt, &["a", "b"]), ["h1"]);
+        assert_eq!(prt.xpe_of(SubId(100)), None, "the merger id went too");
+        assert_eq!(prt.len(), 2);
+        prt.tree().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn prt_compacts_its_automaton_under_churn() {
+        let mut prt = Prt::new();
+        for i in 0..200u64 {
+            prt.insert(SubId(i), xpe(&format!("/a/b{i}/c/d")), i);
+        }
+        for i in 0..180u64 {
+            prt.remove(SubId(i));
+        }
+        for i in 180..200u64 {
+            let p = path(&["a", &format!("b{i}"), "c", "d"]);
+            assert_eq!(
+                prt.matching_hops(&p, &[]).into_iter().collect::<Vec<_>>(),
+                [i]
+            );
+        }
+        assert!(prt
+            .matching_hops(&path(&["a", "b0", "c", "d"]), &[])
+            .is_empty());
+        // Freed tree slots are reused under new tokens.
+        prt.insert(SubId(500), xpe("/x"), 500);
+        assert_eq!(prt.matching_hops(&path(&["x"]), &[]).len(), 1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! capture every relation; *super pointers* record covering relations
 //! that cross subtrees, turning the structure into a DAG.
 //!
-//! The tree serves three routing purposes:
+//! The tree serves two routing purposes, both decided at subscribe
+//! time:
 //!
 //! * **Forwarding decisions** — a newly arrived subscription that is
 //!   covered by an existing one need not be forwarded; one that covers
@@ -15,10 +16,10 @@
 //! * **Compact routing tables** — the routing table a neighbour sees is
 //!   the set of *top-level* nodes ([`SubscriptionTree::root_count`]),
 //!   which covering keeps small (Figure 6).
-//! * **Fast publication matching** — matching descends only into
-//!   children of matching nodes, since a non-matching parent (which
-//!   covers its children) prunes its whole subtree
-//!   ([`SubscriptionTree::for_each_matching`]).
+//!
+//! The tree does not match publications: the covering
+//! [`crate::rtable::Prt`] indexes its nodes in a shared path automaton
+//! and routes each publication with one traversal of that.
 //!
 //! Search is accelerated by bucketing top-level nodes on their first
 //! location step, an index justified by the paper's *absolute XPE node*
@@ -35,7 +36,7 @@ use xdn_xpath::{Axis, NodeTest, Xpe};
 /// Handle to a node in a [`SubscriptionTree`]. Valid until the node is
 /// removed; stale ids are detected (panics) rather than aliased.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(u32);
+pub struct NodeId(pub(crate) u32);
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -215,6 +216,12 @@ impl<T> SubscriptionTree<T> {
     /// Panics if `id` was removed.
     pub fn xpe(&self, id: NodeId) -> &Xpe {
         &self.node(id).xpe
+    }
+
+    /// The expression and payload at `id`, or `None` if it was removed.
+    pub fn get(&self, id: NodeId) -> Option<(&Xpe, &T)> {
+        let node = self.nodes.get(id.0 as usize)?.as_ref()?;
+        Some((&node.xpe, &node.payload))
     }
 
     /// The payload stored at `id`.
@@ -465,31 +472,6 @@ impl<T> SubscriptionTree<T> {
         }
     }
 
-    /// Visits every stored subscription matching `path`, descending
-    /// only into children of matching nodes (a non-matching node covers
-    /// its subtree, so the subtree cannot match).
-    pub fn for_each_matching<S: AsRef<str>>(&self, path: &[S], f: impl FnMut(NodeId, &T)) {
-        self.for_each_matching_with_attrs(path, &[], f);
-    }
-
-    /// [`Self::for_each_matching`] with per-element attribute data, for
-    /// subscriptions using the attribute-predicate extension.
-    pub fn for_each_matching_with_attrs<S: AsRef<str>>(
-        &self,
-        path: &[S],
-        attrs: &[Vec<(String, String)>],
-        mut f: impl FnMut(NodeId, &T),
-    ) {
-        let mut stack: Vec<NodeId> = self.roots.clone();
-        while let Some(id) = stack.pop() {
-            let node = self.node(id);
-            if xdn_xpath::matching::matches_path_with_attrs(&node.xpe, path, attrs) {
-                f(id, &node.payload);
-                stack.extend(node.children.iter().copied());
-            }
-        }
-    }
-
     /// Computes super pointers for `id`: the topmost stored nodes
     /// covered by `id` that are not in its subtree. Eager trees call
     /// this on every insert; lazy trees may call it on demand.
@@ -716,21 +698,6 @@ mod tests {
     }
 
     #[test]
-    fn matching_descends_only_into_matches() {
-        let mut t = SubscriptionTree::new();
-        t.insert(xpe("/a/*"), "wide");
-        t.insert(xpe("/a/b"), "ab");
-        t.insert(xpe("/x"), "x");
-        let mut hits = Vec::new();
-        t.for_each_matching(&["a", "b"], |_, p| hits.push(*p));
-        hits.sort();
-        assert_eq!(hits, vec!["ab", "wide"]);
-        let mut hits2 = Vec::new();
-        t.for_each_matching(&["a", "c"], |_, p| hits2.push(*p));
-        assert_eq!(hits2, vec!["wide"]);
-    }
-
-    #[test]
     fn eager_super_pointers() {
         let mut t = SubscriptionTree::with_eager_super_pointers();
         t.insert(xpe("/a/b"), 0);
@@ -782,6 +749,10 @@ mod tests {
         t.payload_mut(id).push(2);
         assert_eq!(t.payload(id), &vec![1, 2]);
         assert_eq!(t.xpe(id), &xpe("/a"));
+        assert_eq!(t.get(id), Some((&xpe("/a"), &vec![1, 2])));
+        t.remove(id);
+        assert_eq!(t.get(id), None, "removed nodes read as absent");
+        assert_eq!(t.get(NodeId(99)), None);
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Property test for the automaton-backed router: under arbitrary
+//! Property tests for the two automaton-backed routers: under arbitrary
 //! subscribe/unsubscribe churn — which exercises the shared NFA's
 //! incremental inserts, tombstoned removals, and amortized compaction
-//! rebuilds — [`AutomatonPrt`] must route exactly like a [`FlatPrt`]
-//! holding the same subscriptions: bit-identical `(SubId, hop)` match
-//! sets for every publication, both mid-churn and after it. This pins
-//! the one-traversal-per-publication engine to the
+//! rebuilds — [`AutomatonPrt`] and the covering [`Prt`] (also through
+//! perfect and imperfect merging) must route exactly like a [`FlatPrt`]
+//! holding the same subscriptions: identical `(SubId, hop)` match
+//! multisets for every publication, both mid-churn and after it. This
+//! pins the one-traversal-per-publication engine to the
 //! expression-by-expression reference semantics.
 
 use proptest::prelude::*;
 use xdn_core::automaton::AutomatonPrt;
-use xdn_core::rtable::{FlatPrt, PublicationRouter, SubId};
+use xdn_core::merge::MergeConfig;
+use xdn_core::rtable::{FlatPrt, Prt, PublicationRouter, SubId};
 use xdn_xpath::{Axis, NodeTest, Predicate, Step, Xpe};
 
 /// A probe publication: element path plus per-element attribute lists.
@@ -77,6 +79,18 @@ fn arb_path() -> impl Strategy<Value = Vec<(String, Vec<(String, String)>)>> {
     prop::collection::vec(arb_element(), 1..7)
 }
 
+/// A merging universe: a few element-name paths (a small universe
+/// makes many mergers perfect, a large one makes them imperfect).
+fn arb_universe() -> impl Strategy<Value = Vec<Vec<String>>> {
+    prop::collection::vec(
+        prop::collection::vec(
+            (0..ALPHABET.len()).prop_map(|i| ALPHABET[i].to_owned()),
+            1..5,
+        ),
+        1..12,
+    )
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Subscribe(Xpe),
@@ -97,6 +111,33 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             2 => arb_path().prop_map(Op::Route),
         ],
         1..48,
+    )
+}
+
+/// Churn on the covering table, which keeps each id's expression for
+/// its lifetime (so no re-registration).
+#[derive(Debug, Clone)]
+enum CoverOp {
+    Subscribe(Xpe),
+    /// Subscribe a fresh id with the expression of the i-th live
+    /// subscription or merger (modulo their count), so the two share a
+    /// tree node.
+    Share(usize),
+    /// Unsubscribe the i-th live subscription (modulo the live count).
+    Unsubscribe(usize),
+    /// Match a probe path mid-churn.
+    Route(Vec<(String, Vec<(String, String)>)>),
+}
+
+fn arb_cover_ops() -> impl Strategy<Value = Vec<CoverOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => arb_xpe().prop_map(CoverOp::Subscribe),
+            1 => (0usize..64).prop_map(CoverOp::Share),
+            2 => (0usize..64).prop_map(CoverOp::Unsubscribe),
+            2 => arb_path().prop_map(CoverOp::Route),
+        ],
+        1..32,
     )
 }
 
@@ -176,5 +217,108 @@ proptest! {
                 &p.0
             );
         }
+    }
+}
+
+/// The covering table and the flat reference holding the same
+/// subscriptions, driven in lockstep.
+struct Lockstep {
+    covering: Prt<u32>,
+    reference: FlatPrt<u32>,
+    live: Vec<SubId>,
+    /// Expressions of the mergers created so far.
+    mergers: Vec<Xpe>,
+    next: u64,
+}
+
+impl Lockstep {
+    fn subscribe(&mut self, x: Xpe) {
+        self.next += 1;
+        let id = SubId(self.next);
+        self.reference.insert(id, x.clone(), self.next as u32);
+        self.covering.insert(id, x, self.next as u32);
+        self.live.push(id);
+    }
+
+    fn apply(&mut self, op: CoverOp) -> Result<(), TestCaseError> {
+        match op {
+            CoverOp::Subscribe(x) => self.subscribe(x),
+            CoverOp::Share(i) => {
+                let shared: Vec<&Xpe> = self
+                    .live
+                    .iter()
+                    .filter_map(|&id| self.reference.xpe_of(id))
+                    .chain(&self.mergers)
+                    .collect();
+                if let Some(&x) = shared.get(i % shared.len().max(1)) {
+                    self.subscribe(x.clone());
+                }
+            }
+            CoverOp::Unsubscribe(i) => {
+                if !self.live.is_empty() {
+                    let id = self.live.remove(i % self.live.len());
+                    self.reference.remove(id);
+                    self.covering.remove(id);
+                }
+            }
+            CoverOp::Route(spec) => self.check(&probe(spec))?,
+        }
+        self.covering
+            .tree()
+            .check_invariants()
+            .map_err(|e| TestCaseError::fail(format!("tree invariant: {e}")))
+    }
+
+    fn check(&self, p: &Probe) -> Result<(), TestCaseError> {
+        prop_assert_eq!(
+            match_set(&self.covering, p),
+            match_set(&self.reference, p),
+            "covering divergence on {:?}",
+            &p.0
+        );
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn covering_routes_like_flat_under_churn_and_merging(
+        phases in prop::collection::vec(arb_cover_ops(), 3),
+        universe in arb_universe(),
+        paths in prop::collection::vec(arb_path(), 6),
+    ) {
+        let mut t = Lockstep {
+            covering: Prt::new(),
+            reference: FlatPrt::new(),
+            live: Vec::new(),
+            mergers: Vec::new(),
+            next: 0,
+        };
+        let mut merger_ids = 1_000_000u64;
+        // Churn, perfect merging, churn, imperfect merging, churn:
+        // mergers carry no subscribers, so no phase may change a match.
+        let degrees = [Some(0.0), Some(0.5), None];
+        for (ops, degree) in phases.into_iter().zip(degrees) {
+            for op in ops {
+                t.apply(op)?;
+            }
+            for p in paths.iter().cloned().map(probe) {
+                t.check(&p)?;
+            }
+            if let Some(max_degree) = degree {
+                let cfg = MergeConfig { max_degree, ..MergeConfig::default() };
+                let applied = t.covering.apply_merging(&universe, &cfg, || {
+                    merger_ids += 1;
+                    SubId(merger_ids)
+                });
+                t.mergers.extend(applied.into_iter().map(|m| m.xpe));
+                for p in paths.iter().cloned().map(probe) {
+                    t.check(&p)?;
+                }
+            }
+        }
+        prop_assert_eq!(t.live.len(), PublicationRouter::len(&t.reference));
     }
 }

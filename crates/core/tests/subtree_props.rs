@@ -1,6 +1,8 @@
 //! Stateful property tests for the subscription tree: any sequence of
-//! inserts and removals keeps the structural invariants and routes
-//! exactly like a flat list.
+//! inserts and removals keeps the structural invariants, and every
+//! tree edge is a proven covering relation. (The tree does not match
+//! publications; the covering table's routing is pinned against the
+//! flat reference in `automaton_props.rs`.)
 
 use proptest::prelude::*;
 use xdn_core::cover::covers;
@@ -55,34 +57,25 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn arb_path() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec(
-        (0..ALPHABET.len()).prop_map(|i| ALPHABET[i].to_owned()),
-        1..6,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn churn_preserves_invariants_and_routing(ops in arb_ops(), paths in prop::collection::vec(arb_path(), 4)) {
+    fn churn_preserves_invariants_and_covering_edges(ops in arb_ops()) {
         let mut tree: SubscriptionTree<usize> = SubscriptionTree::new();
-        let mut live: Vec<(NodeId, Xpe)> = Vec::new();
+        let mut live: Vec<NodeId> = Vec::new();
         let mut counter = 0usize;
         for op in ops {
             match op {
                 Op::Insert(x) => {
                     counter += 1;
-                    let id = tree.insert(x.clone(), counter).id();
-                    live.push((id, x));
+                    live.push(tree.insert(x, counter).id());
                 }
                 Op::Remove(i) => {
                     if live.is_empty() {
                         continue;
                     }
-                    let (id, _) = live.remove(i % live.len());
-                    tree.remove(id);
+                    tree.remove(live.remove(i % live.len()));
                 }
             }
             tree.check_invariants().map_err(|e| {
@@ -90,25 +83,10 @@ proptest! {
             })?;
         }
         prop_assert_eq!(tree.len(), live.len());
-        // Route equivalence against the flat list.
-        for p in &paths {
-            let mut from_tree: Vec<usize> = Vec::new();
-            tree.for_each_matching(p, |_, &payload| from_tree.push(payload));
-            from_tree.sort_unstable();
-            let mut from_flat: Vec<usize> = live
-                .iter()
-                .zip(1..)
-                .filter(|((_, x), _)| x.matches_path(p))
-                .map(|((id, _), _)| *tree.payload(*id))
-                .collect();
-            from_flat.sort_unstable();
-            prop_assert_eq!(&from_tree, &from_flat, "divergence on path {:?}", p);
-        }
-        // Edge-wise covering is the invariant routing relies on: every
-        // parent provably covers its children (note: the covering
+        // Edge-wise covering is the invariant forwarding relies on:
+        // every parent provably covers its children (note: the covering
         // decision procedure is sound but incomplete, so a node need
-        // not be *provably* covered by its transitive root — pruning
-        // only ever descends one proven edge at a time).
+        // not be *provably* covered by its transitive root).
         fn assert_edges(
             tree: &SubscriptionTree<usize>,
             id: NodeId,

@@ -798,7 +798,16 @@ fn broker_loop(
                         }
                     }
                 }
-                for ob in broker.handle_batch_frames(batch) {
+                // Every frame is handled on its own, so every sequenced
+                // frame gets its own ack. `handle_batch_frames` would
+                // send one ack per sender per drain, but where a socket
+                // drain ends depends on timing, so the ack traffic of
+                // one run could not be repeated.
+                let out: Vec<Outbound> = batch
+                    .into_iter()
+                    .flat_map(|(from, msg)| broker.handle_frames(from, msg))
+                    .collect();
+                for ob in out {
                     if let Dest::Client(c) = ob.dest {
                         // `ob.kind` is precomputed at routing time; no
                         // per-hop `kind()` recomputation here.

@@ -27,6 +27,11 @@
 //! caller-chosen `u64` token, so a traversal reports every token at
 //! most once.
 //!
+//! The automaton is an *index*: it owns no expressions. Its owner (a
+//! routing table) keeps each token's expression and hands it back when
+//! [`PathAutomaton::compact`] rebuilds the trie, so no table stores a
+//! second copy of its XPEs.
+//!
 //! # Encoding and traversal
 //!
 //! States are `u32` ids into one dense `Vec`; per-state name edges are
@@ -151,13 +156,15 @@ impl State {
     }
 }
 
-/// One registered expression: kept verbatim so compaction can rebuild
-/// the trie and so callers can look tokens back up.
-#[derive(Debug, Clone)]
+/// One registered token: where its expression ends, and how many
+/// steps it charged to the live count (the expression itself stays
+/// with the owner).
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    xpe: Xpe,
     /// The accepting state currently holding the token.
     state: StateId,
+    /// Location steps of the expression.
+    steps: usize,
 }
 
 /// Counters and gauges describing one automaton, for the observability
@@ -185,8 +192,8 @@ pub struct NfaStats {
 /// use xdn_xpath::automaton::PathAutomaton;
 ///
 /// let mut nfa = PathAutomaton::new();
-/// nfa.insert(1, "/a/b".parse()?);
-/// nfa.insert(2, "//b".parse()?);
+/// nfa.insert(1, &"/a/b".parse()?);
+/// nfa.insert(2, &"//b".parse()?);
 /// let mut hits = Vec::new();
 /// nfa.for_each_match(&["a", "b"], &[], &mut |t| hits.push(t));
 /// hits.sort_unstable();
@@ -272,16 +279,6 @@ impl PathAutomaton {
         self.entries.is_empty()
     }
 
-    /// The expression registered under `token`, if present.
-    pub fn xpe(&self, token: u64) -> Option<&Xpe> {
-        self.entries.get(&token).map(|e| &e.xpe)
-    }
-
-    /// Registered `(token, expression)` pairs, in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Xpe)> {
-        self.entries.iter().map(|(&t, e)| (t, &e.xpe))
-    }
-
     /// A stats snapshot for metrics export.
     pub fn stats(&self) -> NfaStats {
         NfaStats {
@@ -297,17 +294,24 @@ impl PathAutomaton {
     /// Registers `xpe` under `token`, threading its steps through the
     /// shared trie (no rebuild). Re-registering a token replaces its
     /// expression.
-    pub fn insert(&mut self, token: u64, xpe: Xpe) {
+    pub fn insert(&mut self, token: u64, xpe: &Xpe) {
         if self.entries.contains_key(&token) {
             self.remove(token);
         }
         self.version = self.version.wrapping_add(1);
-        let state = self.thread_steps(&xpe);
-        if let Some(st) = self.states.get_mut(state as usize) {
-            st.accepts.push(token);
-        }
-        self.live_steps += xpe.len();
-        self.entries.insert(token, Entry { xpe, state });
+        let entry = self.thread_token(token, xpe);
+        self.entries.insert(token, entry);
+    }
+
+    /// The tokens accepted where `xpe` ends, without changing the
+    /// automaton. Every token registered under an expression equal to
+    /// `xpe` is among them, but so may be others: relative and
+    /// leading-`//` expressions share their accepting states. Callers
+    /// confirm each token against their own copy of its expression.
+    pub fn tokens_at(&self, xpe: &Xpe) -> &[u64] {
+        self.find_state(xpe)
+            .and_then(|s| self.states.get(s as usize))
+            .map_or(&[], |st| st.accepts.as_slice())
     }
 
     /// Removes the expression registered under `token` (tombstoning its
@@ -324,9 +328,8 @@ impl PathAutomaton {
                 st.accepts.swap_remove(i);
             }
         }
-        let steps = entry.xpe.len();
-        self.live_steps = self.live_steps.saturating_sub(steps);
-        self.tombstone_steps += steps;
+        self.live_steps = self.live_steps.saturating_sub(entry.steps);
+        self.tombstone_steps += entry.steps;
         true
     }
 
@@ -339,10 +342,11 @@ impl PathAutomaton {
     }
 
     /// Rebuilds the trie from the live entries, discarding tombstoned
-    /// structure. Deterministic: entries are re-threaded in token
-    /// order, so two automatons holding the same set compact to the
-    /// same shape.
-    pub fn compact(&mut self) {
+    /// structure. The owner supplies each token's expression through
+    /// `lookup`; a token it no longer knows is dropped. Deterministic:
+    /// entries are re-threaded in token order, so two automatons
+    /// holding the same set compact to the same shape.
+    pub fn compact<'x>(&mut self, lookup: impl Fn(u64) -> Option<&'x Xpe>) {
         self.version = self.version.wrapping_add(1);
         self.compactions += 1;
         self.names.clear();
@@ -350,21 +354,12 @@ impl PathAutomaton {
         self.states.push(State::new(false));
         self.tombstone_steps = 0;
         self.live_steps = 0;
-        let mut tokens: Vec<u64> = self.entries.keys().copied().collect();
+        let mut tokens: Vec<u64> = self.entries.drain().map(|(t, _)| t).collect();
         tokens.sort_unstable();
-        // Re-thread in place: take each entry's expression, rebuild its
-        // chain, and store the new accepting state.
         for token in tokens {
-            let Some(xpe) = self.entries.get(&token).map(|e| e.xpe.clone()) else {
-                continue;
-            };
-            let state = self.thread_steps(&xpe);
-            if let Some(st) = self.states.get_mut(state as usize) {
-                st.accepts.push(token);
-            }
-            self.live_steps += xpe.len();
-            if let Some(e) = self.entries.get_mut(&token) {
-                e.state = state;
+            if let Some(xpe) = lookup(token) {
+                let entry = self.thread_token(token, xpe);
+                self.entries.insert(token, entry);
             }
         }
     }
@@ -488,14 +483,29 @@ impl PathAutomaton {
         self.peak_active.fetch_max(peak, Ordering::Relaxed);
     }
 
+    /// Threads `xpe` and accepts `token` at its end state.
+    fn thread_token(&mut self, token: u64, xpe: &Xpe) -> Entry {
+        let state = self.thread_steps(xpe);
+        if let Some(st) = self.states.get_mut(state as usize) {
+            st.accepts.push(token);
+        }
+        self.live_steps += xpe.len();
+        Entry {
+            state,
+            steps: xpe.len(),
+        }
+    }
+
     /// Walks (creating as needed) the chain of states for `xpe` and
     /// returns its accepting state.
     fn thread_steps(&mut self, xpe: &Xpe) -> StateId {
-        let anchored =
-            xpe.is_absolute() && xpe.steps().first().is_some_and(|s| s.axis == Axis::Child);
         // Relative and leading-`//` expressions both place their first
         // fragment at any depth: they start from the root's slash state.
-        let mut cur = if anchored { ROOT } else { self.slash_of(ROOT) };
+        let mut cur = if anchored(xpe) {
+            ROOT
+        } else {
+            self.slash_of(ROOT)
+        };
         for (i, step) in xpe.steps().iter().enumerate() {
             if i > 0 && step.axis == Axis::Descendant {
                 cur = self.slash_of(cur);
@@ -503,6 +513,20 @@ impl PathAutomaton {
             cur = self.edge_of(cur, step);
         }
         cur
+    }
+
+    /// [`Self::thread_steps`] without creating anything: the accepting
+    /// state `xpe` would end at, if its whole chain exists.
+    fn find_state(&self, xpe: &Xpe) -> Option<StateId> {
+        let slash = |s: StateId| self.states.get(s as usize).and_then(|st| st.eps_slash);
+        let mut cur = if anchored(xpe) { ROOT } else { slash(ROOT)? };
+        for (i, step) in xpe.steps().iter().enumerate() {
+            if i > 0 && step.axis == Axis::Descendant {
+                cur = slash(cur)?;
+            }
+            cur = self.existing_edge(cur, step)?;
+        }
+        Some(cur)
     }
 
     /// The slash (descendant-closure) state hanging off `state`,
@@ -518,57 +542,47 @@ impl PathAutomaton {
         id
     }
 
+    /// The target of `state`'s edge labelled by `step`, if it exists.
+    fn existing_edge(&self, state: StateId, step: &crate::ast::Step) -> Option<StateId> {
+        let st = self.states.get(state as usize)?;
+        if !step.predicates.is_empty() {
+            return st
+                .preds
+                .iter()
+                .find(|e| e.test == step.test && e.predicates == step.predicates)
+                .map(|e| e.target);
+        }
+        match &step.test {
+            NodeTest::Name(n) => st.names.lookup(*self.names.get(n)?),
+            NodeTest::Wildcard => st.wildcard,
+        }
+    }
+
     /// The target of `state`'s edge labelled by `step`, created on
     /// first use.
     fn edge_of(&mut self, state: StateId, step: &crate::ast::Step) -> StateId {
-        if step.predicates.is_empty() {
-            match &step.test {
-                NodeTest::Name(n) => {
-                    let name = self.intern(n);
-                    if let Some(t) = self
-                        .states
-                        .get(state as usize)
-                        .and_then(|s| s.names.lookup(name))
-                    {
-                        return t;
-                    }
-                    let t = self.alloc(State::new(false));
-                    if let Some(st) = self.states.get_mut(state as usize) {
-                        st.names.insert(name, t);
-                    }
-                    t
-                }
-                NodeTest::Wildcard => {
-                    if let Some(t) = self.states.get(state as usize).and_then(|s| s.wildcard) {
-                        return t;
-                    }
-                    let t = self.alloc(State::new(false));
-                    if let Some(st) = self.states.get_mut(state as usize) {
-                        st.wildcard = Some(t);
-                    }
-                    t
-                }
-            }
-        } else {
-            let existing = self.states.get(state as usize).and_then(|s| {
-                s.preds
-                    .iter()
-                    .find(|e| e.test == step.test && e.predicates == step.predicates)
-                    .map(|e| e.target)
-            });
-            if let Some(t) = existing {
-                return t;
-            }
-            let t = self.alloc(State::new(false));
-            if let Some(st) = self.states.get_mut(state as usize) {
+        if let Some(t) = self.existing_edge(state, step) {
+            return t;
+        }
+        let t = self.alloc(State::new(false));
+        let name = match &step.test {
+            NodeTest::Name(n) if step.predicates.is_empty() => Some(self.intern(n)),
+            _ => None,
+        };
+        if let Some(st) = self.states.get_mut(state as usize) {
+            if !step.predicates.is_empty() {
                 st.preds.push(PredEdge {
                     test: step.test.clone(),
                     predicates: step.predicates.clone(),
                     target: t,
                 });
+            } else if let Some(name) = name {
+                st.names.insert(name, t);
+            } else {
+                st.wildcard = Some(t);
             }
-            t
         }
+        t
     }
 
     fn alloc(&mut self, state: State) -> StateId {
@@ -585,6 +599,12 @@ impl PathAutomaton {
         self.names.insert(name.to_owned(), id);
         id
     }
+}
+
+/// True if `xpe` is anchored at the root state (absolute, first step on
+/// the child axis); every other expression floats.
+fn anchored(xpe: &Xpe) -> bool {
+    xpe.is_absolute() && xpe.steps().first().is_some_and(|s| s.axis == Axis::Child)
 }
 
 /// Activates `target` into the set stamped `stamp`: dedups via the
@@ -724,7 +744,7 @@ mod tests {
 
     fn single(expr: &str, path: &[&str]) -> bool {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe(expr));
+        nfa.insert(1, &xpe(expr));
         matches(&nfa, path) == [1]
     }
 
@@ -785,16 +805,16 @@ mod tests {
     #[test]
     fn empty_path_matches_nothing() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("//*"));
+        nfa.insert(1, &xpe("//*"));
         assert!(matches(&nfa, &[]).is_empty());
     }
 
     #[test]
     fn predicates_on_edges() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("/a/b"));
-        nfa.insert(2, xpe("/a/b[@k]"));
-        nfa.insert(3, xpe("/a[@k='v']/b"));
+        nfa.insert(1, &xpe("/a/b"));
+        nfa.insert(2, &xpe("/a/b[@k]"));
+        nfa.insert(3, &xpe("/a[@k='v']/b"));
         let no_attrs: Vec<Vec<(String, String)>> = vec![];
         assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &no_attrs), [1]);
         let leaf_attr = vec![vec![], vec![("k".to_string(), "x".to_string())]];
@@ -806,27 +826,27 @@ mod tests {
     #[test]
     fn shared_prefixes_report_each_token_once() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("/a/b"));
-        nfa.insert(2, xpe("/a/b"));
-        nfa.insert(3, xpe("/a/*"));
-        nfa.insert(4, xpe("//b"));
+        nfa.insert(1, &xpe("/a/b"));
+        nfa.insert(2, &xpe("/a/b"));
+        nfa.insert(3, &xpe("/a/*"));
+        nfa.insert(4, &xpe("//b"));
         assert_eq!(matches(&nfa, &["a", "b"]), [1, 2, 3, 4]);
         // A path where the same accepting state is reachable at several
         // depths still reports once.
         let mut nfa = PathAutomaton::new();
-        nfa.insert(7, xpe("//b"));
+        nfa.insert(7, &xpe("//b"));
         assert_eq!(matches(&nfa, &["b", "b", "b"]), [7]);
     }
 
     #[test]
     fn remove_tombstones_and_reinsert() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("/a/b"));
-        nfa.insert(2, xpe("//b"));
+        nfa.insert(1, &xpe("/a/b"));
+        nfa.insert(2, &xpe("//b"));
         assert!(nfa.remove(1));
         assert!(!nfa.remove(1), "second removal is a no-op");
         assert_eq!(matches(&nfa, &["a", "b"]), [2]);
-        nfa.insert(1, xpe("/a/b"));
+        nfa.insert(1, &xpe("/a/b"));
         assert_eq!(matches(&nfa, &["a", "b"]), [1, 2]);
         assert_eq!(nfa.len(), 2);
     }
@@ -834,26 +854,51 @@ mod tests {
     #[test]
     fn reinsert_replaces_expression() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("/a/b"));
-        nfa.insert(1, xpe("/x/y"));
+        nfa.insert(1, &xpe("/a/b"));
+        nfa.insert(1, &xpe("/x/y"));
         assert_eq!(nfa.len(), 1);
         assert!(matches(&nfa, &["a", "b"]).is_empty());
         assert_eq!(matches(&nfa, &["x", "y"]), [1]);
-        assert_eq!(nfa.xpe(1), Some(&xpe("/x/y")));
+        assert!(nfa.tokens_at(&xpe("/a/b")).is_empty());
+        assert_eq!(nfa.tokens_at(&xpe("/x/y")), [1]);
+    }
+
+    #[test]
+    fn tokens_at_finds_equal_expressions_without_mutating() {
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(1, &xpe("/a/b[@k]"));
+        nfa.insert(2, &xpe("b/c"));
+        nfa.insert(3, &xpe("//b/c"));
+        nfa.insert(4, &xpe("/a/*"));
+        let states = nfa.stats().states;
+        assert_eq!(nfa.tokens_at(&xpe("/a/b[@k]")), [1]);
+        assert_eq!(nfa.tokens_at(&xpe("/a/*")), [4]);
+        // Relative and leading-`//` expressions share an accepting state:
+        // the owner tells them apart.
+        let mut floating = nfa.tokens_at(&xpe("b/c")).to_vec();
+        floating.sort_unstable();
+        assert_eq!(floating, [2, 3]);
+        // Unknown names, missing edges and unthreaded prefixes miss.
+        assert!(nfa.tokens_at(&xpe("/a/b")).is_empty());
+        assert!(nfa.tokens_at(&xpe("/zz")).is_empty());
+        assert!(nfa.tokens_at(&xpe("/a")).is_empty());
+        assert!(nfa.tokens_at(&xpe("/a//b")).is_empty());
+        assert_eq!(nfa.stats().states, states, "lookups create no states");
     }
 
     #[test]
     fn compaction_preserves_matches_and_resets_debt() {
+        let owned: Vec<Xpe> = (0..100u64).map(|i| xpe(&format!("/a/b{i}/c"))).collect();
         let mut nfa = PathAutomaton::new();
-        for i in 0..100u64 {
-            nfa.insert(i, xpe(&format!("/a/b{i}/c")));
+        for (i, x) in owned.iter().enumerate() {
+            nfa.insert(i as u64, x);
         }
         for i in 0..80u64 {
             nfa.remove(i);
         }
         assert!(nfa.needs_compaction());
         let states_before = nfa.stats().states;
-        nfa.compact();
+        nfa.compact(|t| owned.get(t as usize));
         let stats = nfa.stats();
         assert!(stats.states < states_before, "tombstoned structure freed");
         assert_eq!(stats.tombstone_steps, 0);
@@ -866,9 +911,21 @@ mod tests {
     }
 
     #[test]
+    fn compaction_drops_tokens_the_owner_forgot() {
+        let owned = [xpe("/a"), xpe("/b")];
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(0, &owned[0]);
+        nfa.insert(1, &owned[1]);
+        nfa.compact(|t| if t == 0 { owned.first() } else { None });
+        assert_eq!(nfa.len(), 1);
+        assert_eq!(matches(&nfa, &["a"]), [0]);
+        assert!(matches(&nfa, &["b"]).is_empty());
+    }
+
+    #[test]
     fn stats_track_traversal_work() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("/a/b"));
+        nfa.insert(1, &xpe("/a/b"));
         let before = nfa.stats();
         assert_eq!(before.live_subs, 1);
         let _ = matches(&nfa, &["a", "b"]);
@@ -882,7 +939,7 @@ mod tests {
         let mut nfa = PathAutomaton::new();
         // Fan the root out past the promotion threshold.
         for i in 0..3 * HASH_FANOUT as u64 {
-            nfa.insert(i, xpe(&format!("/e{i}")));
+            nfa.insert(i, &xpe(&format!("/e{i}")));
         }
         for i in 0..3 * HASH_FANOUT as u64 {
             assert_eq!(matches(&nfa, &[&format!("e{i}")]), [i]);
@@ -893,7 +950,7 @@ mod tests {
     #[test]
     fn clone_matches_independently() {
         let mut nfa = PathAutomaton::new();
-        nfa.insert(1, xpe("/a/b"));
+        nfa.insert(1, &xpe("/a/b"));
         let copy = nfa.clone();
         nfa.remove(1);
         assert!(matches(&nfa, &["a", "b"]).is_empty());
@@ -912,7 +969,7 @@ mod tests {
         let names = ["a", "b", "c"];
         let mut nfa = PathAutomaton::new();
         for (i, e) in exprs.iter().enumerate() {
-            nfa.insert(i as u64, xpe(e));
+            nfa.insert(i as u64, &xpe(e));
         }
         let mut paths: Vec<Vec<&str>> = Vec::new();
         for x in names {
