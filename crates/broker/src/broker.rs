@@ -152,7 +152,7 @@ impl RoutingConfig {
 /// A broker owns no I/O: [`Broker::handle_frames`] consumes one incoming
 /// message and returns the frames to put on the wire, which makes the
 /// same implementation drivable by the discrete-event simulator, the
-/// threaded live transport, unit tests, and benchmarks.
+/// TCP transport, unit tests, and benchmarks.
 #[derive(Debug)]
 pub struct Broker {
     id: BrokerId,

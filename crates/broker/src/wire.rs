@@ -1,8 +1,8 @@
 //! Binary wire codec and the zero-copy frame data plane.
 //!
-//! The simulator and the threaded transport move [`Message`] values in
-//! memory; a TCP deployment needs them on the wire. This module
-//! provides a compact, length-prefixed binary framing:
+//! The simulator moves [`Message`] values in memory; a TCP deployment
+//! needs them on the wire. This module provides a compact,
+//! length-prefixed binary framing:
 //!
 //! ```text
 //! frame   := u32 length (BE) | u8 tag | body

@@ -10,7 +10,8 @@
 //! link latency ([`latency`]) with a modeled cost of each broker's
 //! routing work ([`sim::ProcessingModel`]), reproducing the
 //! covering/merging effects on notification delay (Figures 10/11,
-//! Tables 2/3).
+//! Tables 2/3). The deployment runs the same brokers over TCP
+//! ([`tcp`]); these are the crate's two transports.
 //!
 //! * [`sim::Network`] — event-driven overlay of [`xdn_broker::Broker`]s
 //!   with attached publisher/subscriber clients.
@@ -18,13 +19,10 @@
 //!   overlays of Tables 2/3) and linear chains (the hop sweeps of
 //!   Figures 10/11).
 //! * [`latency`] — cluster-LAN and PlanetLab-like WAN link models.
-//! * [`metrics`] — network-wide message counts and notification delays.
-//! * [`sink`] — the [`FrameSink`] trait: the single broker→transport
-//!   send boundary every transport below implements.
-//! * [`live`] — a real threaded transport (crossbeam channels) running
-//!   the same brokers, demonstrating transport independence.
-//! * [`tcp`] — brokers over real TCP sockets with the binary wire
-//!   codec; the `xdn-node` binary's engine.
+//! * [`metrics`] — the simulator's network-wide message counts and
+//!   notification delays.
+//! * [`tcp`] — the same brokers over real TCP sockets with the binary
+//!   wire codec; the `xdn-node` binary's engine.
 //!
 //! ```
 //! use xdn_broker::RoutingConfig;
@@ -48,15 +46,12 @@
 
 pub mod chaos;
 pub mod latency;
-pub mod live;
 pub mod metrics;
 pub mod queue;
 pub mod sim;
-pub mod sink;
 pub mod tcp;
 pub mod topology;
 
 pub use latency::{ClusterLan, LatencyModel, PlanetLabWan};
 pub use metrics::NetMetrics;
 pub use sim::Network;
-pub use sink::FrameSink;

@@ -1,15 +1,10 @@
-//! Network-wide measurements and the sink interface transports record
-//! through.
+//! Network-wide measurements of one simulator run (`sim.rs`).
 //!
-//! Every transport — the discrete-event simulator (`sim.rs`), the
-//! threaded live network (`live.rs`), and the TCP overlay (`tcp.rs`) —
-//! reports observations through one [`MetricsSink`] interface instead
-//! of poking [`NetMetrics`] fields directly. [`NetMetrics`] is the
-//! canonical single-threaded implementation; [`SharedMetrics`] wraps it
-//! in `Arc<Mutex<…>>` for the threaded transports.
+//! A TCP node keeps no such copy: its `/metrics` scrape exports the
+//! same traffic, delivery and shed counts from the broker's own
+//! statistics and each peer's outbound queue (`tcp.rs`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use xdn_broker::{BrokerId, ClientId, KindCounters, MessageKind, Publication};
 use xdn_xml::DocId;
@@ -26,45 +21,6 @@ pub struct Notification {
     pub delay: Duration,
     /// Broker hops the winning path traversed.
     pub hops: u32,
-}
-
-/// Which fault-injection mechanism discarded a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDrop {
-    /// A crashed broker's recovery buffer overflowed.
-    Crash,
-    /// A severed link's recovery buffer overflowed.
-    Link,
-}
-
-/// The one interface through which transports record observations.
-///
-/// Implementations must accept events in any order a transport can
-/// produce them (e.g. a delivery for a document whose publish was never
-/// recorded is counted as traffic but yields no notification).
-pub trait MetricsSink {
-    /// A broker received one message of `kind`.
-    fn on_broker_message(&mut self, broker: BrokerId, kind: MessageKind);
-
-    /// A client received one message of `kind` (notifications on the
-    /// last hop).
-    fn on_client_message(&mut self, client: ClientId, kind: MessageKind);
-
-    /// A producer injected a document at time `at` (transport clock).
-    fn on_publish_injected(&mut self, doc: DocId, at: Duration);
-
-    /// One publication path arrived at `client` at time `at` after
-    /// `hops` broker hops.
-    fn on_delivery(&mut self, client: ClientId, publication: &Publication, at: Duration, hops: u32);
-
-    /// Fault injection discarded a message.
-    fn on_fault_drop(&mut self, reason: FaultDrop);
-
-    /// A bounded buffer toward `peer` shed one frame of payload kind
-    /// `kind` — the loss that used to vanish into an opaque drop total.
-    fn on_frame_shed(&mut self, peer: BrokerId, kind: MessageKind) {
-        let _ = (peer, kind);
-    }
 }
 
 /// Aggregated counters for one run.
@@ -89,8 +45,8 @@ pub struct NetMetrics {
     /// Messages discarded because a severed link's recovery buffer
     /// overflowed (fault injection).
     pub dropped_link: u64,
-    /// Frames shed by bounded buffers, per destination peer and payload
-    /// kind ([`MetricsSink::on_frame_shed`]).
+    /// Frames shed by the simulator's bounded fault buffers, per
+    /// destination peer and payload kind.
     pub shed_frames: BTreeMap<BrokerId, KindCounters>,
     record_paths: bool,
     publish_times: HashMap<DocId, Duration>,
@@ -172,22 +128,26 @@ impl NetMetrics {
         self.publish_times.clear();
         self.delivered.clear();
     }
-}
 
-impl MetricsSink for NetMetrics {
-    fn on_broker_message(&mut self, _broker: BrokerId, kind: MessageKind) {
+    /// A broker received one message of `kind`.
+    pub(crate) fn on_broker_message(&mut self, kind: MessageKind) {
         self.broker_messages.record(kind);
     }
 
-    fn on_client_message(&mut self, _client: ClientId, _kind: MessageKind) {
+    /// A client received one message (a notification on the last hop).
+    pub(crate) fn on_client_message(&mut self) {
         self.client_messages += 1;
     }
 
-    fn on_publish_injected(&mut self, doc: DocId, at: Duration) {
+    /// A producer injected a document at simulated time `at`.
+    pub(crate) fn on_publish_injected(&mut self, doc: DocId, at: Duration) {
         self.publish_times.insert(doc, at);
     }
 
-    fn on_delivery(
+    /// One publication path arrived at `client` at simulated time `at`
+    /// after `hops` broker hops. A path of a document whose publish was
+    /// never recorded counts as traffic but yields no notification.
+    pub(crate) fn on_delivery(
         &mut self,
         client: ClientId,
         publication: &Publication,
@@ -221,75 +181,10 @@ impl MetricsSink for NetMetrics {
         }
     }
 
-    fn on_fault_drop(&mut self, reason: FaultDrop) {
-        match reason {
-            FaultDrop::Crash => self.dropped_crash += 1,
-            FaultDrop::Link => self.dropped_link += 1,
-        }
-    }
-
-    fn on_frame_shed(&mut self, peer: BrokerId, kind: MessageKind) {
+    /// A bounded buffer toward `peer` shed one frame of payload kind
+    /// `kind`.
+    pub(crate) fn on_frame_shed(&mut self, peer: BrokerId, kind: MessageKind) {
         self.shed_frames.entry(peer).or_default().record(kind);
-    }
-}
-
-/// Thread-shared [`NetMetrics`] for the threaded transports: every
-/// clone records into the same underlying counters through the same
-/// [`MetricsSink`] interface the simulator uses.
-#[derive(Debug, Clone, Default)]
-pub struct SharedMetrics(Arc<Mutex<NetMetrics>>);
-
-impl SharedMetrics {
-    /// Fresh shared metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A snapshot of the current values.
-    pub fn snapshot(&self) -> NetMetrics {
-        self.lock().clone()
-    }
-
-    /// Runs `f` with the underlying metrics locked (e.g. for
-    /// [`NetMetrics::reset`] between phases).
-    pub fn with<R>(&self, f: impl FnOnce(&mut NetMetrics) -> R) -> R {
-        f(&mut self.lock())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, NetMetrics> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl MetricsSink for SharedMetrics {
-    fn on_broker_message(&mut self, broker: BrokerId, kind: MessageKind) {
-        self.lock().on_broker_message(broker, kind);
-    }
-
-    fn on_client_message(&mut self, client: ClientId, kind: MessageKind) {
-        self.lock().on_client_message(client, kind);
-    }
-
-    fn on_publish_injected(&mut self, doc: DocId, at: Duration) {
-        self.lock().on_publish_injected(doc, at);
-    }
-
-    fn on_delivery(
-        &mut self,
-        client: ClientId,
-        publication: &Publication,
-        at: Duration,
-        hops: u32,
-    ) {
-        self.lock().on_delivery(client, publication, at, hops);
-    }
-
-    fn on_fault_drop(&mut self, reason: FaultDrop) {
-        self.lock().on_fault_drop(reason);
-    }
-
-    fn on_frame_shed(&mut self, peer: BrokerId, kind: MessageKind) {
-        self.lock().on_frame_shed(peer, kind);
     }
 }
 
@@ -312,10 +207,10 @@ mod tests {
     fn traffic_sums_kinds() {
         let mut m = NetMetrics::default();
         for _ in 0..3 {
-            m.on_broker_message(BrokerId(0), MessageKind::Subscribe);
+            m.on_broker_message(MessageKind::Subscribe);
         }
         for _ in 0..4 {
-            m.on_broker_message(BrokerId(1), MessageKind::Publish);
+            m.on_broker_message(MessageKind::Publish);
         }
         assert_eq!(m.network_traffic(), 7);
         assert_eq!(m.traffic_of(MessageKind::Subscribe), 3);
@@ -367,11 +262,11 @@ mod tests {
     fn reset_clears_measurements_keeps_config() {
         let mut m = NetMetrics::default();
         m.set_record_paths(true);
-        m.on_broker_message(BrokerId(0), MessageKind::Publish);
-        m.on_client_message(ClientId(1), MessageKind::Publish);
+        m.on_broker_message(MessageKind::Publish);
+        m.on_client_message();
         m.on_publish_injected(DocId(1), Duration::ZERO);
         m.on_delivery(ClientId(1), &publication(1), Duration::from_millis(1), 1);
-        m.on_fault_drop(FaultDrop::Crash);
+        m.dropped_crash += 1;
         m.reset();
         assert_eq!(m.network_traffic(), 0);
         assert_eq!(m.client_messages, 0);
@@ -402,24 +297,5 @@ mod tests {
         assert_eq!(m.shed_of(BrokerId(9)).total(), 0);
         m.reset();
         assert_eq!(m.shed_publications(), 0);
-    }
-
-    #[test]
-    fn shared_metrics_aggregate_across_clones() {
-        let shared = SharedMetrics::new();
-        let mut a = shared.clone();
-        let mut b = shared.clone();
-        let t = std::thread::spawn(move || {
-            for _ in 0..10 {
-                a.on_broker_message(BrokerId(0), MessageKind::Publish);
-            }
-        });
-        for _ in 0..5 {
-            b.on_broker_message(BrokerId(1), MessageKind::Subscribe);
-        }
-        t.join().expect("join");
-        let snap = shared.snapshot();
-        assert_eq!(snap.network_traffic(), 15);
-        assert_eq!(snap.traffic_of(MessageKind::Publish), 10);
     }
 }

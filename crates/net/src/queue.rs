@@ -77,8 +77,9 @@ impl FrameQueue {
     }
 
     /// Enqueues at the back, shedding under pressure. Returns the
-    /// payload kind of the frame shed to make room, if any — callers
-    /// report it to their metrics sink so no loss is silent.
+    /// payload kind of the frame shed to make room, if any; the queue
+    /// also counts it ([`FrameQueue::dropped`],
+    /// [`FrameQueue::shed_publications`]), so no loss is silent.
     /// Accepts anything convertible to a [`FrameBuf`] (`Message`
     /// included) so tuple-era callers keep working for one release.
     pub fn push_back(&self, frame: impl Into<FrameBuf>) -> Option<MessageKind> {

@@ -10,14 +10,11 @@
 //! paper's testbed, while runs stay deterministic.
 
 use crate::latency::LatencyModel;
-use crate::metrics::{FaultDrop, MetricsSink, NetMetrics};
-use crate::sink::FrameSink;
+use crate::metrics::NetMetrics;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::time::Duration;
-use xdn_broker::{
-    Broker, BrokerId, ClientId, Dest, Message, MessageKind, Outbound, Publication, RoutingConfig,
-};
+use xdn_broker::{Broker, BrokerId, ClientId, Dest, Message, Outbound, Publication, RoutingConfig};
 use xdn_core::adv::Advertisement;
 use xdn_core::rtable::{AdvId, SubId};
 use xdn_xml::paths::{dedup_paths, extract_paths};
@@ -86,38 +83,6 @@ fn link_key(a: BrokerId, b: BrokerId) -> (BrokerId, BrokerId) {
         (a, b)
     } else {
         (b, a)
-    }
-}
-
-/// The simulator's [`FrameSink`]: "shipping" a frame schedules its
-/// arrival event after the modeled link delay. The frame body is never
-/// serialised — only its modeled wire size feeds the latency model, so
-/// the lazily-encoded [`xdn_broker::FrameBuf`] costs the simulator
-/// nothing.
-struct SimSink<'a> {
-    net: &'a mut Network,
-    from: BrokerId,
-    hops: u32,
-}
-
-impl FrameSink for SimSink<'_> {
-    fn ship(&mut self, out: Outbound) -> Option<MessageKind> {
-        let bytes = out.frame.wire_bytes();
-        let delay = match out.dest {
-            Dest::Broker(b) => self.net.latency.link_delay(self.from, b, bytes),
-            Dest::Client(_) => self.net.latency.client_delay(self.from, bytes),
-        };
-        let at = self.net.now + delay;
-        self.net.schedule(
-            at,
-            Event {
-                to: out.dest,
-                from: Dest::Broker(self.from),
-                msg: out.frame.into_message(),
-                hops: self.hops + 1,
-            },
-        );
-        None
     }
 }
 
@@ -453,10 +418,10 @@ impl Network {
     }
 
     fn count_fault_drop(&mut self, reason: FaultReason) {
-        self.metrics.on_fault_drop(match reason {
-            FaultReason::Crash(_) => FaultDrop::Crash,
-            FaultReason::Link(..) => FaultDrop::Link,
-        });
+        match reason {
+            FaultReason::Crash(_) => self.metrics.dropped_crash += 1,
+            FaultReason::Link(..) => self.metrics.dropped_link += 1,
+        }
     }
 
     fn park(&mut self, event: Event, reason: FaultReason) {
@@ -627,15 +592,27 @@ impl Network {
         }
     }
 
-    /// Schedules a broker's outputs through the simulator's
-    /// [`FrameSink`].
+    /// Schedules each of a broker's outputs to arrive after its modeled
+    /// link delay. Frame bodies are never serialised: only the modeled
+    /// `wire_bytes()` feeds the latency model, so the lazily encoded
+    /// [`xdn_broker::FrameBuf`] costs the simulator nothing.
     fn dispatch_outputs(&mut self, from: BrokerId, outputs: Vec<Outbound>, hops: u32) {
-        SimSink {
-            net: self,
-            from,
-            hops,
+        for out in outputs {
+            let bytes = out.frame.wire_bytes();
+            let delay = match out.dest {
+                Dest::Broker(b) => self.latency.link_delay(from, b, bytes),
+                Dest::Client(_) => self.latency.client_delay(from, bytes),
+            };
+            self.schedule(
+                self.now + delay,
+                Event {
+                    to: out.dest,
+                    from: Dest::Broker(from),
+                    msg: out.frame.into_message(),
+                    hops: hops + 1,
+                },
+            );
         }
-        .ship_all(outputs);
     }
 
     /// Drains the event queue. Returns the number of events processed.
@@ -659,7 +636,7 @@ impl Network {
             }
             match event.to {
                 Dest::Broker(b) => {
-                    self.metrics.on_broker_message(b, event.msg.kind());
+                    self.metrics.on_broker_message(event.msg.kind());
                     let broker = self
                         .brokers
                         .get_mut(&b)
@@ -673,7 +650,7 @@ impl Network {
                     self.dispatch_outputs(b, outputs, event.hops);
                 }
                 Dest::Client(c) => {
-                    self.metrics.on_client_message(c, event.msg.kind());
+                    self.metrics.on_client_message();
                     if let Message::Publish(p) = &event.msg {
                         self.metrics.on_delivery(c, p, self.now, event.hops);
                     }

@@ -1,14 +1,16 @@
 //! TCP transport: brokers and clients over real sockets.
 //!
-//! The third substrate after the discrete-event simulator and the
-//! in-process threaded transport: each [`TcpNode`] runs one broker,
-//! listens for peers and clients, and exchanges frames encoded with
-//! [`xdn_broker::wire`]. This is the shape an actual deployment takes
-//! (one node per host, the `xdn-node` binary).
+//! The deployment counterpart of the discrete-event simulator: each
+//! [`TcpNode`] runs one broker, listens for peers and clients, and
+//! exchanges frames encoded with [`xdn_broker::wire`]. This is the
+//! shape an actual deployment takes (one node per host, the `xdn-node`
+//! binary).
 //!
 //! Connection protocol: after connecting, a peer sends a 9-byte hello —
 //! `0x01 | u64 broker-id` for brokers, `0x02 | u64 client-id` for
 //! clients — then length-prefixed message frames in both directions.
+//! Each accepted connection reads its hello on its own thread, under a
+//! timeout, so a silent connection stalls no other accept.
 //! A connection whose first byte is `G` is treated as an HTTP `GET`
 //! instead: the node replies with a Prometheus text snapshot of its
 //! metrics (traffic by kind, routing-table sizes, latency histograms,
@@ -31,9 +33,7 @@
 //! installation is idempotent and buffered frames are retransmitted,
 //! delivery across a link outage is at-least-once.
 
-use crate::metrics::{MetricsSink, SharedMetrics};
 use crate::queue::{FrameQueue, Pop};
-use crate::sink::FrameSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -45,13 +45,18 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use xdn_broker::wire::MAX_FRAME_BYTES;
 use xdn_broker::{
-    wire, Broker, BrokerId, BrokerStats, ClientId, Dest, FrameBuf, Message, MessageKind, Outbound,
-    RoutingConfig,
+    wire, Broker, BrokerId, BrokerStats, ClientId, Dest, FrameBuf, Message, Outbound, RoutingConfig,
 };
 use xdn_obs::{render_prometheus, MetricData, MetricFamily};
 
 const HELLO_BROKER: u8 = 0x01;
 const HELLO_CLIENT: u8 = 0x02;
+
+/// How long an accepted connection may take to send its hello. The
+/// wait runs on the connection's own thread, and shutdown severs it
+/// early; the timeout only frees that thread from a peer that never
+/// speaks.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Capacity of the broker loop's input channel. Bounded so a flood of
 /// inbound frames exerts backpressure on the reader threads (and thus
@@ -73,15 +78,12 @@ fn lock_clean<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub enum TcpError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// A malformed frame or hello.
-    Protocol(String),
 }
 
 impl std::fmt::Display for TcpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TcpError::Io(e) => write!(f, "transport I/O error: {e}"),
-            TcpError::Protocol(m) => write!(f, "transport protocol error: {m}"),
         }
     }
 }
@@ -342,7 +344,6 @@ pub struct TcpNode {
     stopping: Arc<AtomicBool>,
     links: HashMap<BrokerId, PeerLink>,
     conns: ConnList,
-    metrics: SharedMetrics,
 }
 
 impl TcpNode {
@@ -486,13 +487,10 @@ impl TcpNode {
         }
 
         // Broker loop: single-threaded state machine fed by readers.
-        let metrics = SharedMetrics::new();
-        let loop_metrics = metrics.clone();
-        let broker_thread =
-            std::thread::spawn(move || broker_loop(broker, rx, queues, loop_metrics));
+        let broker_thread = std::thread::spawn(move || broker_loop(broker, rx, queues));
 
         // Accept loop. The stop flag is checked before handing each
-        // accepted connection to a reader thread; shutdown() flips it
+        // accepted connection to its own thread; shutdown() flips it
         // and then dials the listener once to unblock `incoming()`.
         let conns: ConnList = Arc::new(Mutex::new(Vec::new()));
         let accept_stop = stopping.clone();
@@ -504,9 +502,20 @@ impl TcpNode {
                     break;
                 }
                 let Ok(stream) = stream else { break };
-                if let Ok(conn) = spawn_connection(stream, accept_tx.clone()) {
-                    accept_conns.lock().push(conn);
+                // The clone is listed before the hello is read, so
+                // shutdown can sever a connection that never sends it.
+                let Ok(severable) = stream.try_clone() else {
+                    continue;
+                };
+                let tx = accept_tx.clone();
+                let handle = std::thread::spawn(move || serve_connection(stream, tx));
+                let mut conns = accept_conns.lock();
+                // Reap finished connections, so their sockets close now
+                // rather than at shutdown.
+                for (_, done) in conns.extract_if(.., |(_, h)| h.is_finished()) {
+                    let _ = done.join();
                 }
+                conns.push((severable, handle));
             }
         });
 
@@ -518,7 +527,6 @@ impl TcpNode {
             stopping,
             links,
             conns,
-            metrics,
         })
     }
 
@@ -533,14 +541,6 @@ impl TcpNode {
         let (tx, rx) = sync_channel(1);
         self.inbox.send(Input::Snapshot(tx)).ok()?;
         rx.recv_timeout(Duration::from_secs(5)).ok()
-    }
-
-    /// Traffic and delivery metrics recorded by the broker loop
-    /// through the same [`crate::metrics::MetricsSink`] interface the
-    /// simulator uses. Snapshot semantics: the returned value is a
-    /// copy; concurrent recording continues.
-    pub fn metrics(&self) -> crate::metrics::NetMetrics {
-        self.metrics.snapshot()
     }
 
     /// The node's metrics in the Prometheus text exposition format —
@@ -645,55 +645,38 @@ impl TcpNode {
     }
 }
 
-/// Most frames one `handle_batch` call will take off the inbox; bounds
-/// both batch memory and how long metrics/stop requests can queue
-/// behind a drain.
+/// Most frames the broker loop takes off the inbox in one drain;
+/// bounds both batch memory and how long snapshot, scrape and stop
+/// requests can queue behind a drain.
 const INBOX_BATCH_LIMIT: usize = 256;
 
-/// The TCP transport's [`FrameSink`]: dialled peers go through their
-/// supervisor's bounded [`FrameQueue`] (which may shed — the returned
-/// kind), while *accepted* connections (clients, and brokers that
-/// dialled us) are written directly on the shared socket writer.
-///
-/// Borrows the broker loop's state per call site, so it is constructed
-/// inline wherever a frame leaves the loop.
-struct TcpSink<'a> {
-    queues: &'a HashMap<Dest, Arc<FrameQueue>>,
-    writers: &'a mut HashMap<Dest, Arc<Mutex<TcpStream>>>,
-}
-
-impl FrameSink for TcpSink<'_> {
-    fn ship(&mut self, out: Outbound) -> Option<MessageKind> {
-        if let Some(q) = self.queues.get(&out.dest) {
-            return q.push_back(out.frame);
+/// Sends one routed frame. A dialled peer's frame goes into its
+/// supervisor's bounded [`FrameQueue`], which sheds under pressure and
+/// counts what it sheds for the scrape. An *accepted* connection
+/// (a client, or a broker that dialled us) is written directly, with a
+/// blocking write on the broker loop's thread.
+fn ship(
+    out: Outbound,
+    queues: &HashMap<Dest, Arc<FrameQueue>>,
+    writers: &mut HashMap<Dest, Arc<Mutex<TcpStream>>>,
+) {
+    if let Some(q) = queues.get(&out.dest) {
+        q.push_back(out.frame);
+    } else if let Some(w) = writers.get(&out.dest) {
+        if out.frame.write_to(&mut *w.lock()).is_err() {
+            // An accepted peer died: drop the writer and rely on the
+            // remote supervisor (or client) to reconnect. A dropped
+            // sequenced frame is replayed from the broker's retransmit
+            // buffer on the next sync.
+            writers.remove(&out.dest);
         }
-        if let Some(w) = self.writers.get(&out.dest) {
-            if out.frame.write_to(&mut *w.lock()).is_err() {
-                // An accepted peer died: drop the writer and rely on
-                // the remote supervisor (or client) to reconnect. A
-                // dropped sequenced frame is replayed from the
-                // broker's retransmit buffer on the next sync.
-                self.writers.remove(&out.dest);
-            }
-        }
-        None
     }
 }
 
-fn broker_loop(
-    mut broker: Broker,
-    rx: Receiver<Input>,
-    queues: HashMap<Dest, Arc<FrameQueue>>,
-    mut metrics: SharedMetrics,
-) {
-    // Timebase for this node's delay measurements. Publish→delivery
-    // delays are only computable for documents both injected and
-    // delivered through *this* node; cross-node deliveries still count
-    // as traffic but carry no delay sample.
-    let epoch = std::time::Instant::now();
+fn broker_loop(mut broker: Broker, rx: Receiver<Input>, queues: HashMap<Dest, Arc<FrameQueue>>) {
     // Writers for *accepted* connections (clients, and brokers that
     // dialled us). Dialled peers go through their supervisor's queue;
-    // `TcpSink` picks the right path per destination.
+    // `ship` picks the right path per destination.
     let mut writers: HashMap<Dest, Arc<Mutex<TcpStream>>> = HashMap::new();
     // A non-`FromPeer` input drained while gathering a frame batch is
     // carried into the next iteration instead of being dropped.
@@ -742,13 +725,11 @@ fn broker_loop(
                         broker.add_neighbor(b);
                         broker.expect_sync_from(b);
                     }
-                    let mut sink = TcpSink {
-                        queues: &queues,
-                        writers: &mut writers,
-                    };
-                    if let Some(kind) = sink.ship(Outbound::from((dest, Message::SyncRequest))) {
-                        metrics.on_frame_shed(b, kind);
-                    }
+                    ship(
+                        Outbound::from((dest, Message::SyncRequest)),
+                        &queues,
+                        &mut writers,
+                    );
                 }
             }
             Input::FromPeer(from, msg) => {
@@ -781,10 +762,6 @@ fn broker_loop(
                     {
                         echo_heartbeats.push(*from);
                     }
-                    metrics.on_broker_message(broker.id(), msg.kind());
-                    if let (Dest::Client(_), Message::Publish(p)) = (from, msg) {
-                        metrics.on_publish_injected(p.doc_id, epoch.elapsed());
-                    }
                     if let Message::Ack {
                         epoch: ack_epoch,
                         seq,
@@ -808,31 +785,14 @@ fn broker_loop(
                     .flat_map(|(from, msg)| broker.handle_frames(from, msg))
                     .collect();
                 for ob in out {
-                    if let Dest::Client(c) = ob.dest {
-                        // `ob.kind` is precomputed at routing time; no
-                        // per-hop `kind()` recomputation here.
-                        metrics.on_client_message(c, ob.kind);
-                        if let Message::Publish(p) = ob.frame.payload() {
-                            // Hop counts are not carried on the wire;
-                            // TCP-transport notifications record 0.
-                            metrics.on_delivery(c, p, epoch.elapsed(), 0);
-                        }
-                    }
-                    let dest = ob.dest;
-                    let mut sink = TcpSink {
-                        queues: &queues,
-                        writers: &mut writers,
-                    };
-                    if let (Some(kind), Dest::Broker(b)) = (sink.ship(ob), dest) {
-                        metrics.on_frame_shed(b, kind);
-                    }
+                    ship(ob, &queues, &mut writers);
                 }
                 for hb_from in echo_heartbeats {
-                    let mut sink = TcpSink {
-                        queues: &queues,
-                        writers: &mut writers,
-                    };
-                    sink.ship(Outbound::from((hb_from, Message::Heartbeat)));
+                    ship(
+                        Outbound::from((hb_from, Message::Heartbeat)),
+                        &queues,
+                        &mut writers,
+                    );
                 }
             }
         }
@@ -1042,34 +1002,37 @@ fn serve_metrics(mut stream: TcpStream, tx: SyncSender<Input>) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn spawn_connection(
-    mut stream: TcpStream,
-    tx: SyncSender<Input>,
-) -> Result<(TcpStream, JoinHandle<()>), TcpError> {
+/// Serves one accepted connection on its own thread: reads the hello
+/// within [`HELLO_TIMEOUT`], then either answers an HTTP scrape or
+/// registers the peer's writer with the broker loop and feeds it the
+/// peer's frames.
+fn serve_connection(mut stream: TcpStream, tx: SyncSender<Input>) {
     let mut hello = [0u8; 9];
-    stream.read_exact(&mut hello)?;
-    if hello[0] == b'G' {
-        // Not a peer hello: an HTTP scrape ("GET …"). Serve it on its
-        // own thread so the accept loop keeps accepting.
-        let http_stream = stream.try_clone()?;
-        let handle = std::thread::spawn(move || serve_metrics(http_stream, tx));
-        return Ok((stream, handle));
-    }
-    let id_bytes: [u8; 8] = hello[1..9]
-        .try_into()
-        .map_err(|_| TcpError::Protocol("malformed hello".into()))?;
-    let id = u64::from_be_bytes(id_bytes);
-    let from = match hello[0] {
-        HELLO_BROKER => Dest::Broker(BrokerId(id as u32)),
-        HELLO_CLIENT => Dest::Client(ClientId(id)),
-        other => return Err(TcpError::Protocol(format!("unknown hello kind {other}"))),
+    let greeted = stream
+        .set_read_timeout(Some(HELLO_TIMEOUT))
+        .and_then(|()| stream.read_exact(&mut hello))
+        .and_then(|()| stream.set_read_timeout(None));
+    let [kind, id @ ..] = hello;
+    let id = u64::from_be_bytes(id);
+    let from = match kind {
+        _ if greeted.is_err() => None,
+        // Not a peer hello: an HTTP scrape ("GET …").
+        b'G' => return serve_metrics(stream, tx),
+        HELLO_BROKER => Some(Dest::Broker(BrokerId(id as u32))),
+        HELLO_CLIENT => Some(Dest::Client(ClientId(id))),
+        _ => None,
     };
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    tx.send(Input::PeerWriter(from, writer))
-        .map_err(|_| TcpError::Protocol("broker loop gone".into()))?;
-    let reader_stream = stream.try_clone()?;
-    let handle = std::thread::spawn(move || read_frames(reader_stream, from, tx));
-    Ok((stream, handle))
+    // A silent, short or unknown hello drops the connection.
+    let Some((from, writer)) = from.zip(stream.try_clone().ok()) else {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        return;
+    };
+    if tx
+        .send(Input::PeerWriter(from, Arc::new(Mutex::new(writer))))
+        .is_ok()
+    {
+        read_frames(stream, from, tx);
+    }
 }
 
 /// Reads one length-prefixed frame (including its 4-byte prefix) into
@@ -1274,6 +1237,14 @@ mod tests {
             matches!(got, Some(Message::Publish(_))),
             "expected delivery over TCP, got {got:?}"
         );
+        // The forwarded publication rode the sequenced channel: n1's
+        // cumulative ack for it reaches the sending broker.
+        assert!(
+            n0.await_state(Duration::from_secs(5), |s| {
+                s.stats.received_of(MessageKind::Ack) >= 1
+            }),
+            "acks must flow back to the sending broker"
+        );
         n0.shutdown();
         n1.shutdown();
     }
@@ -1429,14 +1400,9 @@ mod tests {
         assert!(body.contains("xdn_frame_pool_misses_total"), "{body}");
         assert!(body.contains("xdn_frame_pool_discards_total"), "{body}");
 
-        // The programmatic accessor serves the same families, and the
-        // MetricsSink path saw the same traffic and delivery.
+        // The programmatic accessor serves the same families.
         let text = n.metrics_text().expect("metrics text");
         assert!(text.contains("xdn_broker_deliveries_total 1\n"), "{text}");
-        let m = n.metrics();
-        assert_eq!(m.broker_messages.get(MessageKind::Subscribe), 1);
-        assert_eq!(m.broker_messages.get(MessageKind::Publish), 1);
-        assert_eq!(m.notifications.len(), 1);
         n.shutdown();
     }
 
@@ -1882,6 +1848,48 @@ mod tests {
             }
             last = d;
         }
+    }
+
+    #[test]
+    fn silent_connection_stalls_neither_accepts_nor_shutdown() {
+        let n = TcpNode::start(
+            BrokerId(0),
+            RoutingConfig::builder().build(),
+            ephemeral(),
+            &[],
+        )
+        .expect("node");
+        // Connects first and never sends its hello.
+        let mut silent = TcpStream::connect(n.addr()).expect("silent connect");
+        let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
+        subscriber
+            .send(&Message::subscribe(SubId(1), "/a".parse().expect("xpe")))
+            .expect("subscribe");
+        assert!(
+            n.await_state(Duration::from_secs(5), |s| {
+                s.stats.received_of(MessageKind::Subscribe) >= 1
+            }),
+            "a silent connection must not stall later accepts"
+        );
+        // Shut down on another thread, so a hang fails the test instead
+        // of blocking it; the silent socket is still open meanwhile.
+        let (done_tx, done_rx) = sync_channel(1);
+        std::thread::spawn(move || {
+            n.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "shutdown must not wait for a connection that never sent its hello"
+        );
+        // Shutdown severed it rather than leaving it to the hello timeout.
+        silent
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        assert!(
+            matches!(silent.read(&mut [0u8; 1]), Ok(0)),
+            "shutdown must sever the silent connection"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! A live (threaded) dissemination overlay for protein-database
-//! updates: the same brokers the simulator drives, running on real OS
-//! threads over channels — the shape a TCP deployment takes.
+//! A dissemination overlay for protein-database updates over TCP
+//! loopback: four brokers, each a [`TcpNode`] on its own socket, the
+//! shape a deployment takes with one `xdn-node` per host.
 //!
 //! ```sh
 //! cargo run --example protein_feed
@@ -10,34 +10,30 @@ use std::time::Duration;
 use xdn::broker::{BrokerId, ClientId, Message, Publication, RoutingConfig};
 use xdn::core::adv::{derive_advertisements, DeriveOptions};
 use xdn::core::rtable::{AdvId, SubId};
-use xdn::net::live::LiveNetworkBuilder;
+use xdn::net::tcp::{TcpClient, TcpNode};
 use xdn::workloads::psd_dtd;
 use xdn::xml::paths::{dedup_paths, extract_paths};
 use xdn::xml::DocId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Four brokers in a diamond: 0 - {1,2} - 3.
-    let mut builder = LiveNetworkBuilder::new();
+    // Four brokers in a tree: 3 - 1 - 0 - 2. Each node dials its
+    // parent, so the parent starts first.
     let cfg = RoutingConfig::builder()
         .advertisements(true)
         .covering(true)
         .build();
-    for b in 0..4 {
-        builder.broker(BrokerId(b), cfg);
-    }
-    builder
-        .link(BrokerId(0), BrokerId(1))
-        .link(BrokerId(1), BrokerId(3))
-        .link(BrokerId(0), BrokerId(2));
+    let any = "127.0.0.1:0".parse()?;
+    let b0 = TcpNode::start(BrokerId(0), cfg, any, &[])?;
+    let b1 = TcpNode::start(BrokerId(1), cfg, any, &[(BrokerId(0), b0.addr())])?;
+    let b2 = TcpNode::start(BrokerId(2), cfg, any, &[(BrokerId(0), b0.addr())])?;
+    let b3 = TcpNode::start(BrokerId(3), cfg, any, &[(BrokerId(1), b1.addr())])?;
 
-    let curator = ClientId(1); // publishes database updates at broker 0
-    let lab = ClientId(2); // watches kinase entries at broker 3
-    let archive = ClientId(3); // archives all reference data at broker 2
-    builder
-        .client(curator, BrokerId(0))
-        .client(lab, BrokerId(3))
-        .client(archive, BrokerId(2));
-    let net = builder.start();
+    // Publishes database updates at broker 0.
+    let mut curator = TcpClient::connect(b0.addr(), ClientId(1))?;
+    // Watches kinase entries at broker 3.
+    let mut lab = TcpClient::connect(b3.addr(), ClientId(2))?;
+    // Archives all reference data at broker 2.
+    let mut archive = TcpClient::connect(b2.addr(), ClientId(3))?;
 
     // Announce the feed.
     let dtd = psd_dtd();
@@ -45,19 +41,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .into_iter()
         .enumerate()
     {
-        net.send(curator, Message::advertise(AdvId(i as u64), adv));
+        curator.send(&Message::advertise(AdvId(i as u64), adv))?;
     }
 
     // Register interests.
-    net.send(
-        lab,
-        Message::subscribe(SubId(1), "//classification/superfamily".parse()?),
+    lab.send(&Message::subscribe(
+        SubId(1),
+        "//classification/superfamily".parse()?,
+    ))?;
+    archive.send(&Message::subscribe(
+        SubId(2),
+        "/ProteinDatabase/ProteinEntry/reference".parse()?,
+    ))?;
+    // The control plane has settled once both subscriptions reach the
+    // curator's broker.
+    assert!(
+        b0.await_state(Duration::from_secs(5), |s| s.prt_size >= 2),
+        "subscriptions did not reach broker 0"
     );
-    net.send(
-        archive,
-        Message::subscribe(SubId(2), "/ProteinDatabase/ProteinEntry/reference".parse()?),
-    );
-    std::thread::sleep(Duration::from_millis(100)); // control plane settles
 
     // Publish one update; the document is decomposed into paths by the
     // publisher-side library, exactly as the simulator does.
@@ -73,15 +74,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let bytes = doc.to_xml_string().len();
     for p in dedup_paths(extract_paths(&doc, DocId(1))) {
-        net.send(
-            curator,
-            Message::Publish(Publication::from_doc_path(&p, bytes)),
-        );
+        curator.send(&Message::Publish(Publication::from_doc_path(&p, bytes)))?;
     }
 
     // Both subscribers receive the paths their filters select.
-    let lab_msg = net.recv_timeout(lab, Duration::from_secs(5));
-    let archive_msg = net.recv_timeout(archive, Duration::from_secs(5));
+    let lab_msg = lab.recv_timeout(Duration::from_secs(5));
+    let archive_msg = archive.recv_timeout(Duration::from_secs(5));
     println!(
         "lab received:     {:?}",
         lab_msg.as_ref().map(Message::kind)
@@ -93,13 +91,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(matches!(lab_msg, Some(Message::Publish(_))));
     assert!(matches!(archive_msg, Some(Message::Publish(_))));
 
-    let stats = net.shutdown();
-    for (id, s) in &stats {
+    let nodes = [b0, b1, b2, b3];
+    for (id, node) in nodes.iter().enumerate() {
+        let s = node.snapshot().ok_or("broker loop gone")?.stats;
         println!(
             "broker {id}: received {} messages, delivered {} to clients",
             s.received_total(),
             s.deliveries
         );
+    }
+    for node in nodes {
+        node.shutdown();
     }
     Ok(())
 }

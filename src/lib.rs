@@ -15,7 +15,8 @@
 //! * [`core`] — advertisements, overlap, covering, the subscription
 //!   tree, merging, and the routing tables (the paper's contribution);
 //! * [`broker`] — the content-based XML router;
-//! * [`net`] — the simulated and live overlay substrates;
+//! * [`net`] — the overlay's two transports: the discrete-event
+//!   simulator and TCP;
 //! * [`obs`] — metrics, trace events, and text exporters;
 //! * [`workloads`] — DTDs and generated workloads for the evaluation.
 //!
