@@ -22,10 +22,15 @@ use loom::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
 use std::sync::{Condvar, Mutex, MutexGuard};
 
+/// Most frames one [`FrameQueue::pop_wait`] call takes: bounds the
+/// batch a supervisor holds and writes at once.
+pub const POP_BATCH_LIMIT: usize = 256;
+
 /// The result of one [`FrameQueue::pop_wait`] call.
 pub enum Pop {
-    /// A frame to write.
-    Msg(FrameBuf),
+    /// Every frame that was ready, oldest first, at most
+    /// [`POP_BATCH_LIMIT`]; never empty.
+    Frames(Vec<FrameBuf>),
     /// Nothing to send for a full heartbeat interval.
     Idle,
     /// The reader declared the current connection dead.
@@ -50,6 +55,50 @@ struct QueueState {
     /// Replayed to the front of the queue when a fresh connection epoch
     /// starts, so frames written into a dying socket are not lost.
     inflight: VecDeque<(u64, u64, FrameBuf)>,
+}
+
+impl QueueState {
+    /// Enqueues one frame, shedding under pressure: at `capacity`, the
+    /// oldest buffered publication makes room; with only control
+    /// traffic buffered, an arriving payload frame gives way, and an
+    /// arriving control frame displaces the oldest one. Returns the
+    /// kind of the frame shed, if any.
+    fn push(&mut self, frame: FrameBuf, front: bool, capacity: usize) -> Option<MessageKind> {
+        if self.closed {
+            return None;
+        }
+        let mut shed = None;
+        if self.q.len() >= capacity {
+            // Shed decisions look through reliability framing: a
+            // sequenced publication is still a publication. The kind is
+            // precomputed on the frame, so pressure scans cost no
+            // per-frame re-derivation.
+            if let Some(i) = self.q.iter().position(|f| f.kind() == MessageKind::Publish) {
+                let kind = self.q.remove(i).map_or(MessageKind::Publish, |f| f.kind());
+                self.dropped += 1;
+                self.shed.record(kind);
+                shed = Some(kind);
+            } else if frame.is_payload() {
+                let kind = frame.kind();
+                self.dropped += 1;
+                self.shed.record(kind);
+                return Some(kind);
+            } else {
+                let kind = self.q.pop_front().map(|f| f.kind());
+                self.dropped += 1;
+                if let Some(kind) = kind {
+                    self.shed.record(kind);
+                }
+                shed = kind;
+            }
+        }
+        if front {
+            self.q.push_front(frame);
+        } else {
+            self.q.push_back(frame);
+        }
+        shed
+    }
 }
 
 /// The supervisor's bounded outbound queue. The broker loop pushes,
@@ -92,49 +141,26 @@ impl FrameQueue {
         self.push(frame.into(), true)
     }
 
-    fn push(&self, frame: FrameBuf, front: bool) -> Option<MessageKind> {
+    /// Enqueues a drain's frames for this peer at the back, in order,
+    /// under one lock and with one wake-up. Each frame is shed or kept
+    /// by [`FrameQueue::push_back`]'s rule, as if pushed on its own.
+    pub fn push_back_all(&self, frames: impl IntoIterator<Item = FrameBuf>) {
         let mut s = self.lock();
-        if s.closed {
-            return None;
-        }
-        let mut shed = None;
-        if s.q.len() >= self.capacity {
-            // Shed decisions look through reliability framing: a
-            // sequenced publication is still a publication. The kind is
-            // precomputed on the frame, so pressure scans cost no
-            // per-frame re-derivation.
-            if let Some(i) = s.q.iter().position(|f| f.kind() == MessageKind::Publish) {
-                let kind = s.q.remove(i).map_or(MessageKind::Publish, |f| f.kind());
-                s.dropped += 1;
-                s.shed.record(kind);
-                shed = Some(kind);
-            } else if frame.is_payload() {
-                // Only control traffic is buffered; the arriving
-                // payload frame gives way.
-                let kind = frame.kind();
-                s.dropped += 1;
-                s.shed.record(kind);
-                return Some(kind);
-            } else {
-                let kind = s.q.pop_front().map(|f| f.kind());
-                s.dropped += 1;
-                if let Some(kind) = kind {
-                    s.shed.record(kind);
-                }
-                shed = kind;
-            }
-        }
-        if front {
-            s.q.push_front(frame);
-        } else {
-            s.q.push_back(frame);
+        for frame in frames {
+            s.push(frame, false, self.capacity);
         }
         drop(s);
+        self.cv.notify_one();
+    }
+
+    fn push(&self, frame: FrameBuf, front: bool) -> Option<MessageKind> {
+        let shed = self.lock().push(frame, front, self.capacity);
         self.cv.notify_one();
         shed
     }
 
-    /// Blocks for the next frame, or `timeout` of idleness. The
+    /// Blocks until frames are ready, then takes all of them, up to
+    /// [`POP_BATCH_LIMIT`]; or waits out `timeout` of idleness. The
     /// `Closed`/`Down` flags win over queued frames so a supervisor
     /// reacts to shutdown and link death promptly.
     pub fn pop_wait(&self, timeout: Duration) -> Pop {
@@ -146,18 +172,23 @@ impl FrameQueue {
             if s.down {
                 return Pop::Down;
             }
-            if let Some(f) = s.q.pop_front() {
-                if let Some(h) = f.seq_header() {
-                    // Hold a copy until the peer's cumulative ack
-                    // covers it; a new connection epoch replays these.
-                    // The clone shares the frame's body — the hold
-                    // costs a handful of pointers, not a payload copy.
-                    if s.inflight.len() >= self.capacity {
-                        s.inflight.pop_front();
+            if !s.q.is_empty() {
+                let take = s.q.len().min(POP_BATCH_LIMIT);
+                let batch: Vec<FrameBuf> = s.q.drain(..take).collect();
+                for f in &batch {
+                    if let Some(h) = f.seq_header() {
+                        // Hold a copy until the peer's cumulative ack
+                        // covers it; a new connection epoch replays
+                        // these. The clone shares the frame's body —
+                        // the hold costs a handful of pointers, not a
+                        // payload copy.
+                        if s.inflight.len() >= self.capacity {
+                            s.inflight.pop_front();
+                        }
+                        s.inflight.push_back((h.epoch, h.seq, f.clone()));
                     }
-                    s.inflight.push_back((h.epoch, h.seq, f.clone()));
                 }
-                return Pop::Msg(f);
+                return Pop::Frames(batch);
             }
             let (next, res) = self
                 .cv
@@ -206,16 +237,22 @@ impl FrameQueue {
             .retain(|(e, q, _)| *e > epoch || (*e == epoch && *q > acked));
     }
 
-    /// Returns a frame the writer failed to send. Sequenced frames are
-    /// dropped here — the in-flight hold already owns a copy that the
-    /// next connection epoch replays, and re-queueing would duplicate
-    /// it. Control frames go back to the front as before.
-    pub fn requeue_unsent(&self, frame: impl Into<FrameBuf>) {
-        let frame = frame.into();
-        if frame.seq_header().is_some() {
-            return;
+    /// Returns a popped batch the writer failed to send. Sequenced
+    /// frames are dropped here — the in-flight hold already owns
+    /// copies that the next connection epoch replays, and re-queueing
+    /// would duplicate them. Control frames go back to the front in
+    /// their original order, ahead of anything queued since; some may
+    /// have reached the peer before the write failed, and receiving
+    /// one twice is harmless.
+    pub fn requeue_unsent(&self, batch: Vec<FrameBuf>) {
+        let mut s = self.lock();
+        for frame in batch.into_iter().rev() {
+            if frame.seq_header().is_none() {
+                s.push(frame, true, self.capacity);
+            }
         }
-        self.push_front(frame);
+        drop(s);
+        self.cv.notify_one();
     }
 
     /// Sequenced frames currently held awaiting acknowledgement.
@@ -274,29 +311,58 @@ mod tests {
         })
     }
 
+    /// Pops batches until the queue idles, flattened.
+    fn drain(q: &FrameQueue) -> Vec<FrameBuf> {
+        let mut frames = Vec::new();
+        while let Pop::Frames(batch) = q.pop_wait(Duration::from_millis(1)) {
+            frames.extend(batch);
+        }
+        frames
+    }
+
+    fn kinds(frames: &[FrameBuf]) -> Vec<MessageKind> {
+        frames.iter().map(FrameBuf::kind).collect()
+    }
+
+    fn seqs(frames: &[FrameBuf]) -> Vec<Option<u64>> {
+        frames
+            .iter()
+            .map(|f| f.seq_header().map(|h| h.seq))
+            .collect()
+    }
+
     #[test]
     fn queue_sheds_publications_before_control() {
-        let q = FrameQueue::new(2);
-        q.push_back(publication(1));
-        q.push_back(publication(2));
-        // Control traffic displaces the oldest publication.
-        q.push_back(Message::subscribe(SubId(1), "/a".parse().expect("xpe")));
-        // A publication arriving at a full queue of one pub + one
-        // control displaces the remaining pub...
-        q.push_back(publication(3));
-        // ...and one arriving with only control queued is itself shed.
-        q.push_back(Message::Unsubscribe { id: SubId(9) });
-        q.push_back(publication(4));
-        let mut kinds = Vec::new();
-        while let Pop::Msg(m) = q.pop_wait(Duration::from_millis(1)) {
-            kinds.push(m.kind());
+        let frames = || -> Vec<FrameBuf> {
+            vec![
+                publication(1).into(),
+                publication(2).into(),
+                // Control traffic displaces the oldest publication.
+                Message::subscribe(SubId(1), "/a".parse().expect("xpe")).into(),
+                // A publication arriving at a full queue of one pub +
+                // one control displaces the remaining pub...
+                publication(3).into(),
+                // ...and one arriving with only control queued is
+                // itself shed.
+                Message::Unsubscribe { id: SubId(9) }.into(),
+                publication(4).into(),
+            ]
+        };
+        // Pushed one at a time, or as one drain's run: same rule.
+        let one_by_one = FrameQueue::new(2);
+        for f in frames() {
+            one_by_one.push_back(f);
         }
-        assert_eq!(
-            kinds,
-            vec![MessageKind::Subscribe, MessageKind::Unsubscribe],
-            "control survived"
-        );
-        assert_eq!(q.dropped(), 4, "all four publications were shed");
+        let as_a_run = FrameQueue::new(2);
+        as_a_run.push_back_all(frames());
+        for q in [one_by_one, as_a_run] {
+            assert_eq!(
+                kinds(&drain(&q)),
+                vec![MessageKind::Subscribe, MessageKind::Unsubscribe],
+                "control survived"
+            );
+            assert_eq!(q.dropped(), 4, "all four publications were shed");
+        }
     }
 
     #[test]
@@ -304,6 +370,7 @@ mod tests {
         let q = FrameQueue::new(4);
         q.close();
         q.push_back(publication(1));
+        q.push_back_all([publication(2).into()]);
         assert!(q.is_empty());
         assert!(matches!(q.pop_wait(Duration::from_millis(1)), Pop::Closed));
     }
@@ -315,7 +382,26 @@ mod tests {
         assert!(matches!(q.pop_wait(Duration::from_millis(1)), Pop::Down));
         q.clear_down();
         q.push_back(publication(1));
-        assert!(matches!(q.pop_wait(Duration::from_millis(1)), Pop::Msg(_)));
+        assert!(matches!(
+            q.pop_wait(Duration::from_millis(1)),
+            Pop::Frames(_)
+        ));
+    }
+
+    #[test]
+    fn pop_takes_every_ready_frame_up_to_the_limit() {
+        let q = FrameQueue::new(2 * POP_BATCH_LIMIT);
+        q.push_back_all((0..POP_BATCH_LIMIT as u64 + 3).map(|d| publication(d).into()));
+        let Pop::Frames(first) = q.pop_wait(Duration::from_millis(1)) else {
+            panic!("frames were ready");
+        };
+        assert_eq!(first.len(), POP_BATCH_LIMIT);
+        assert_eq!(first[0].payload(), &publication(0));
+        let Pop::Frames(rest) = q.pop_wait(Duration::from_millis(1)) else {
+            panic!("frames were ready");
+        };
+        assert_eq!(rest.len(), 3);
+        assert_eq!(rest[0].payload(), &publication(POP_BATCH_LIMIT as u64));
     }
 
     fn sequenced(doc: u64, seq: u64) -> Message {
@@ -343,34 +429,50 @@ mod tests {
     fn inflight_replays_on_new_epoch_and_prunes_on_ack() {
         let q = FrameQueue::new(8);
         q.push_back(sequenced(1, 1));
+        q.push_back(Message::SyncRequest);
         q.push_back(sequenced(2, 2));
-        // The writer pops both; they move to the in-flight hold.
-        assert!(matches!(q.pop_wait(Duration::from_millis(1)), Pop::Msg(_)));
-        assert!(matches!(q.pop_wait(Duration::from_millis(1)), Pop::Msg(_)));
-        assert_eq!(q.inflight_len(), 2);
-        // The peer acks seq 1: only seq 2 remains held.
+        q.push_back(sequenced(3, 3));
+        // One pop takes all four; every sequenced one is held.
+        let Pop::Frames(batch) = q.pop_wait(Duration::from_millis(1)) else {
+            panic!("frames were ready");
+        };
+        assert_eq!(seqs(&batch), vec![Some(1), None, Some(2), Some(3)]);
+        assert_eq!(q.inflight_len(), 3);
+        // The peer acks seq 1: only seqs 2 and 3 remain held.
         q.ack(1, 1);
-        assert_eq!(q.inflight_len(), 1);
-        // Connection dies and a new epoch starts: the held frame is
-        // replayed at the front.
+        assert_eq!(q.inflight_len(), 2);
+        // Connection dies and a new epoch starts: the held frames are
+        // replayed at the front in their original order, ahead of a
+        // frame queued meanwhile.
         q.mark_down();
         assert!(matches!(q.pop_wait(Duration::from_millis(1)), Pop::Down));
+        q.push_back(sequenced(4, 4));
         q.clear_down();
-        let Pop::Msg(m) = q.pop_wait(Duration::from_millis(1)) else {
-            panic!("expected the replayed frame");
-        };
-        assert_eq!(m.seq_header().map(|h| h.seq), Some(2));
+        assert_eq!(seqs(&drain(&q)), vec![Some(2), Some(3), Some(4)]);
     }
 
     #[test]
     fn requeue_unsent_drops_sequenced_keeps_control() {
         let q = FrameQueue::new(8);
-        // A sequenced frame that failed to write is NOT re-queued (the
-        // in-flight hold owns it)...
-        q.requeue_unsent(sequenced(1, 1));
-        assert!(q.is_empty());
-        // ...but control traffic goes back to the front.
-        q.requeue_unsent(Message::SyncRequest);
-        assert_eq!(q.len(), 1);
+        q.push_back(Message::SyncRequest);
+        q.push_back(sequenced(1, 1));
+        q.push_back(Message::Heartbeat);
+        let Pop::Frames(batch) = q.pop_wait(Duration::from_millis(1)) else {
+            panic!("frames were ready");
+        };
+        q.push_back(Message::Unsubscribe { id: SubId(9) });
+        // The write failed: the control frames go back to the front in
+        // their original order, ahead of the frame queued since. The
+        // sequenced frame is NOT re-queued — the in-flight hold owns it.
+        q.requeue_unsent(batch);
+        assert_eq!(
+            kinds(&drain(&q)),
+            vec![
+                MessageKind::SyncRequest,
+                MessageKind::Heartbeat,
+                MessageKind::Unsubscribe
+            ]
+        );
+        assert_eq!(q.inflight_len(), 1);
     }
 }

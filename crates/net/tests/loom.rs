@@ -14,7 +14,7 @@
 #![cfg(loom)]
 
 use std::time::Duration;
-use xdn_broker::{Message, MessageKind, Publication};
+use xdn_broker::{FrameBuf, Message, MessageKind, Publication};
 use xdn_core::rtable::SubId;
 use xdn_net::queue::{FrameQueue, Pop};
 use xdn_xml::{DocId, PathId};
@@ -33,13 +33,36 @@ fn control() -> Message {
     Message::subscribe(SubId(1), "/a".parse().expect("xpe"))
 }
 
+/// A sequenced publication of sender epoch 1.
+fn sequenced(seq: u64) -> FrameBuf {
+    Message::Sequenced {
+        epoch: 1,
+        seq,
+        low: 1,
+        inner: std::sync::Arc::new(publication(seq)),
+    }
+    .into()
+}
+
+fn seqs(frames: &[FrameBuf]) -> Vec<u64> {
+    frames
+        .iter()
+        .filter_map(|f| f.seq_header().map(|h| h.seq))
+        .collect()
+}
+
+/// Pops batches until the queue idles, flattened.
+fn drain_frames(q: &FrameQueue) -> Vec<FrameBuf> {
+    let mut frames = Vec::new();
+    while let Pop::Frames(batch) = q.pop_wait(Duration::from_millis(1)) {
+        frames.extend(batch);
+    }
+    frames
+}
+
 /// Drains the queue without blocking on timeouts longer than needed.
 fn drain(q: &FrameQueue) -> Vec<MessageKind> {
-    let mut kinds = Vec::new();
-    while let Pop::Msg(m) = q.pop_wait(Duration::from_millis(1)) {
-        kinds.push(m.kind());
-    }
-    kinds
+    drain_frames(q).iter().map(FrameBuf::kind).collect()
 }
 
 /// Concurrent pushers on a capacity-1 queue: whatever the interleaving,
@@ -75,7 +98,7 @@ fn close_terminates_a_parked_writer() {
             loop {
                 match qw.pop_wait(Duration::from_millis(5)) {
                     Pop::Closed => return popped,
-                    Pop::Msg(_) => popped += 1,
+                    Pop::Frames(batch) => popped += batch.len() as u32,
                     Pop::Idle | Pop::Down => {}
                 }
             }
@@ -125,5 +148,53 @@ fn down_epochs_divert_then_recover() {
             kinds.contains(&MessageKind::Publish),
             "fresh epoch delivers frames, got {kinds:?}"
         );
+    });
+}
+
+/// The supervisor's batch pop racing the broker loop's pushes, the
+/// peer's cumulative ack, and the reader's death notice: whatever the
+/// interleaving, the queue loses and duplicates no frame. Every pushed
+/// frame ends up either popped and acked, or — after the reconnect's
+/// `clear_down` — replayed exactly once, in sequence order.
+#[test]
+fn batch_pop_loses_and_duplicates_nothing() {
+    loom::model(|| {
+        let q = loom::sync::Arc::new(FrameQueue::new(8));
+        q.push_back_all([sequenced(1), sequenced(2)]);
+        let qp = q.clone();
+        let popper = loom::thread::spawn(move || match qp.pop_wait(Duration::from_millis(5)) {
+            Pop::Frames(batch) => seqs(&batch),
+            Pop::Idle | Pop::Down | Pop::Closed => Vec::new(),
+        });
+        let qs = q.clone();
+        let pusher = loom::thread::spawn(move || qs.push_back_all([sequenced(3), sequenced(4)]));
+        let qa = q.clone();
+        let acker = loom::thread::spawn(move || qa.ack(1, 1));
+        let qd = q.clone();
+        let reader = loom::thread::spawn(move || qd.mark_down());
+        let popped = popper.join().expect("popper");
+        pusher.join().expect("pusher");
+        acker.join().expect("acker");
+        reader.join().expect("reader");
+
+        assert!(
+            popped.windows(2).all(|w| w[0] < w[1]),
+            "a batch pops in queue order: {popped:?}"
+        );
+        q.clear_down();
+        let replayed = seqs(&drain_frames(&q));
+        assert!(
+            replayed.windows(2).all(|w| w[0] < w[1]),
+            "replayed once each, in order: {replayed:?}"
+        );
+        for seq in 1..=4 {
+            // Only seq 1 can be gone: popped, then covered by the ack.
+            let gone = !replayed.contains(&seq);
+            assert!(
+                !gone || (seq == 1 && popped.contains(&seq)),
+                "seq {seq} lost: popped {popped:?}, replayed {replayed:?}"
+            );
+        }
+        assert_eq!(q.dropped(), 0, "nothing shed below capacity");
     });
 }
