@@ -17,6 +17,14 @@
 //! optimization of §4.2) for a relative simple coverer, and `DesCov`
 //! ([`des_cov`]) for expressions containing descendant operators,
 //! including the paper's trailing-wildcard special case.
+//!
+//! Every one of these rules places each step of the coverer on a step
+//! of its own in the coveree, and a name test covers only the same
+//! name. So `covers(a, b)` can only hold when every element name in `a`
+//! is a name in `b` and `a` has no more steps than `b`. `CoverSig`
+//! summarises an expression for that test, which callers that compare
+//! one expression against many stored ones (the subscription tree) run
+//! before `covers`.
 
 use crate::advmatch::overlap_borders;
 use xdn_xpath::{Axis, Step, Xpe};
@@ -44,6 +52,50 @@ pub fn covers(s1: &Xpe, s2: &Xpe) -> bool {
     } else {
         des_cov(s1, s2)
     }
+}
+
+/// The covering signature of an expression: what [`covers`] needs of
+/// it before it can hold.
+///
+/// `covers(a, b)` implies `sig(a).may_cover(sig(b))` (the rule in the
+/// module doc). Names are kept as a 64-bit mask, one bit per name; two
+/// names sharing a bit only let more pairs through to `covers`. A
+/// signature is worth keeping only beside a stored expression: hashing
+/// the names costs about as much as the `covers` call it saves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CoverSig {
+    /// Bit [`name_bit`] of every element name the expression tests.
+    names: u64,
+    steps: usize,
+}
+
+impl CoverSig {
+    /// The signature of `xpe`. `*` tests no name and sets no bit.
+    pub(crate) fn of(xpe: &Xpe) -> Self {
+        CoverSig {
+            names: xpe
+                .steps()
+                .iter()
+                .filter_map(|s| s.test.name())
+                .fold(0, |mask, n| mask | name_bit(n)),
+            steps: xpe.len(),
+        }
+    }
+
+    /// False when `covers(a, b)` is certainly false, where `self` is
+    /// `a`'s signature and `covered` is `b`'s.
+    pub(crate) fn may_cover(self, covered: CoverSig) -> bool {
+        self.names & !covered.names == 0 && self.steps <= covered.steps
+    }
+}
+
+/// The mask bit of an element name: FNV-1a of its bytes, mod 64. The
+/// hash is fixed, so a name sets the same bit in every process.
+fn name_bit(name: &str) -> u64 {
+    let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    1 << (hash % 64)
 }
 
 /// `AbsSimCov` (§4.2): covering between two absolute simple XPEs.
@@ -424,5 +476,124 @@ mod tests {
     fn transitivity_spot_checks() {
         let (a, b, c_) = (xpe("/a"), xpe("/a/*"), xpe("/a/b/c"));
         assert!(covers(&a, &b) && covers(&b, &c_) && covers(&a, &c_));
+    }
+
+    /// Asserts that every covering pair among `xs` passes the signature
+    /// test, and returns how many pairs cover.
+    fn assert_sig_admits_covering_pairs(xs: &[Xpe]) -> usize {
+        let sigs: Vec<CoverSig> = xs.iter().map(CoverSig::of).collect();
+        let mut covering = 0;
+        for (a, sa) in xs.iter().zip(&sigs) {
+            for (b, sb) in xs.iter().zip(&sigs) {
+                if covers(a, b) {
+                    covering += 1;
+                    assert!(
+                        sa.may_cover(*sb),
+                        "{a} covers {b}, but its signature says it cannot"
+                    );
+                }
+            }
+        }
+        covering
+    }
+
+    #[test]
+    fn signature_spot_checks() {
+        let may = |a: &str, b: &str| CoverSig::of(&xpe(a)).may_cover(CoverSig::of(&xpe(b)));
+        assert!(may("/a/*", "/a/b/c"));
+        assert!(may("b//d", "/a/b/c/d"));
+        assert!(may("/a/*//*/d", "/a//b/c/d"));
+        assert!(!may("/a/b", "/a/c"), "a name missing from the coveree");
+        assert!(!may("/a/b/c", "/a/b"), "more steps than the coveree");
+        assert!(!may("*/*", "a"), "wildcards still count as steps");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "quadratic sweep, too slow under the interpreter")]
+    fn signature_admits_every_covering_pair_of_the_paper_sets() {
+        use xdn_workloads::{nitf_dtd, psd_dtd, sets};
+        for dtd in [nitf_dtd(), psd_dtd()] {
+            for xs in [sets::set_a(&dtd, 250, 1), sets::set_b(&dtd, 250, 2)] {
+                let covering = assert_sig_admits_covering_pairs(&xs);
+                assert!(
+                    covering > xs.len(),
+                    "only {covering} covering pairs among {} expressions",
+                    xs.len()
+                );
+            }
+        }
+    }
+
+    mod sig_props {
+        use super::*;
+        use proptest::prelude::*;
+        use xdn_xpath::{NodeTest, Predicate};
+
+        /// `ba` and `bb` share their mask bits with `a` and `b` (asserted
+        /// below), so the signature cannot tell those names apart.
+        const ALPHABET: &[&str] = &["a", "b", "c", "ba", "bb"];
+
+        fn arb_step() -> impl Strategy<Value = Step> {
+            (
+                prop_oneof![3 => Just(Axis::Child), 1 => Just(Axis::Descendant)],
+                prop_oneof![
+                    3 => (0..ALPHABET.len()).prop_map(|i| NodeTest::Name(ALPHABET[i].into())),
+                    1 => Just(NodeTest::Wildcard),
+                ],
+                prop_oneof![
+                    3 => Just(Vec::new()),
+                    1 => Just(vec![Predicate::HasAttr("k".into())]),
+                    1 => (1u8..3).prop_map(|v| vec![Predicate::AttrEq("k".into(), v.to_string())]),
+                ],
+            )
+                .prop_map(|(axis, test, predicates)| Step {
+                    axis,
+                    test,
+                    predicates,
+                })
+        }
+
+        fn arb_xpe() -> impl Strategy<Value = Xpe> {
+            (any::<bool>(), prop::collection::vec(arb_step(), 1..6))
+                .prop_map(|(absolute, steps)| Xpe::new(absolute, steps))
+        }
+
+        /// A widening of `x` by `ops` (`(step, kind)` pairs): a step
+        /// becomes `*`, drops its predicates, or becomes `//`, or the
+        /// expression floats from that step on. Many results cover `x`.
+        fn widen(x: &Xpe, ops: &[(usize, u8)]) -> Xpe {
+            let mut absolute = x.is_absolute();
+            let mut steps = x.steps().to_vec();
+            for &(at, kind) in ops {
+                let at = at % steps.len();
+                match kind {
+                    0 => steps[at].test = NodeTest::Wildcard,
+                    1 => steps[at].predicates.clear(),
+                    2 => steps[at].axis = Axis::Descendant,
+                    _ => {
+                        absolute = false;
+                        steps.drain(..at);
+                        steps[0].axis = Axis::Child;
+                    }
+                }
+            }
+            Xpe::new(absolute, steps)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn covers_implies_signature(
+                base in prop::collection::vec(arb_xpe(), 1..6),
+                ops in prop::collection::vec((0usize..8, 0u8..4), 0..6),
+            ) {
+                prop_assert_eq!(name_bit("ba"), name_bit("a"));
+                prop_assert_eq!(name_bit("bb"), name_bit("b"));
+                let mut xs = base.clone();
+                xs.extend(base.iter().map(|x| widen(x, &ops)));
+                assert_sig_admits_covering_pairs(&xs);
+            }
+        }
     }
 }
