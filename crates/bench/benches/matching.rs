@@ -1,8 +1,12 @@
-//! Micro-benchmarks of the §3.2/§4.2 algorithms, including the
-//! KMP-vs-naive ablation the paper motivates ("the KMP algorithm is
-//! applied to reduce the number of comparisons to O(n)"), plus the
-//! linear-scan vs shared-automaton matching comparison, whose results
-//! are written to `BENCH_matching.json` at the workspace root.
+//! Flat linear scan vs the shared-NFA `AutomatonPrt`, at growing
+//! subscription counts, over the NITF `set_a` workload (Table 1's
+//! setting). Self-timed with `Instant`; the results are written to
+//! `BENCH_matching.json` at the workspace root.
+//!
+//! Before timing, every level asserts the two routers report
+//! bit-identical match sets per publication path (the automaton's
+//! equivalence is additionally property-tested in
+//! `crates/core/tests/automaton_props.rs`).
 //!
 //! Environment knobs (for CI smoke runs):
 //! * `XDN_BENCH_SUBS` — comma-separated subscription counts
@@ -10,247 +14,139 @@
 //! * `XDN_BENCH_ITERS` — timed passes over the publication set
 //!   (default `3`).
 
-use criterion::{criterion_group, Criterion};
-use xdn_core::adv::AdvPath;
-use xdn_core::advmatch::{
-    abs_expr_and_adv, abs_expr_and_sim_rec_adv, des_expr_and_adv, rel_expr_and_adv,
-    rel_expr_and_adv_naive,
-};
-use xdn_core::cover::{covers, des_cov, rel_sim_cov, rel_sim_cov_naive};
-use xdn_xpath::Xpe;
+use std::time::Instant;
+use xdn_bench::SEED;
+use xdn_core::automaton::AutomatonPrt;
+use xdn_core::rtable::{FlatPrt, PublicationRouter, SubId};
+use xdn_workloads::{docs, nitf_dtd, sets};
 
-fn xpe(s: &str) -> Xpe {
-    s.parse().expect("valid bench expression")
+const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matching.json");
+
+struct Level {
+    subscriptions: usize,
+    flat_ns_per_pub: f64,
+    automaton_ns_per_pub: f64,
+    speedup: f64,
+    matches: u64,
 }
 
-fn bench_overlap(c: &mut Criterion) {
-    // A pathological periodic advertisement rewards the KMP shift.
-    let adv = AdvPath::from_names(&[
-        "a", "a", "a", "b", "a", "a", "a", "b", "a", "a", "a", "b", "a", "a", "a", "c",
-    ]);
-    let sub = xpe("a/a/a/c");
-
-    let mut group = c.benchmark_group("overlap");
-    group.bench_function("rel_naive", |b| {
-        b.iter(|| rel_expr_and_adv_naive(std::hint::black_box(&adv), std::hint::black_box(&sub)));
-    });
-    group.bench_function("rel_kmp", |b| {
-        b.iter(|| rel_expr_and_adv(std::hint::black_box(&adv), std::hint::black_box(&sub)));
-    });
-
-    let abs_adv = AdvPath::from_names(&["a", "*", "c", "d", "e", "f", "g", "h"]);
-    let abs_sub = xpe("/a/b/c/d/e");
-    group.bench_function("abs", |b| {
-        b.iter(|| {
-            abs_expr_and_adv(
-                std::hint::black_box(&abs_adv),
-                std::hint::black_box(&abs_sub),
-            )
-        });
-    });
-
-    let des_sub = xpe("*/a//d/*/c//b");
-    let des_adv = AdvPath::from_names(&["a", "x", "e", "y", "d", "z", "c", "b"]);
-    group.bench_function("descendant", |b| {
-        b.iter(|| {
-            des_expr_and_adv(
-                std::hint::black_box(&des_adv),
-                std::hint::black_box(&des_sub),
-            )
-        });
-    });
-
-    let a1 = AdvPath::from_names(&["a", "*", "c"]);
-    let a2 = AdvPath::from_names(&["e", "d"]);
-    let a3 = AdvPath::from_names(&["*", "c", "e"]);
-    let rec_sub = xpe("/*/a/c/*/d/e/d/*");
-    group.bench_function("simple_recursive", |b| {
-        b.iter(|| abs_expr_and_sim_rec_adv(&a1, &a2, &a3, std::hint::black_box(&rec_sub)));
-    });
-    group.finish();
+fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
+    match std::env::var(key) {
+        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
+        Err(_) => default.to_vec(),
+    }
 }
 
-fn bench_covering(c: &mut Criterion) {
-    let mut group = c.benchmark_group("covering");
-    let wide = xpe("a/a/a");
-    let narrow = xpe("/x/a/a/a/b/a/a/a/c");
-    group.bench_function("rel_naive", |b| {
-        b.iter(|| rel_sim_cov_naive(std::hint::black_box(&wide), std::hint::black_box(&narrow)));
-    });
-    group.bench_function("rel_kmp", |b| {
-        b.iter(|| rel_sim_cov(std::hint::black_box(&wide), std::hint::black_box(&narrow)));
-    });
-
-    let des1 = xpe("/a/*//*/d");
-    let des2 = xpe("/a//b/c/d");
-    group.bench_function("descendant", |b| {
-        b.iter(|| des_cov(std::hint::black_box(&des1), std::hint::black_box(&des2)));
-    });
-
-    let abs1 = xpe("/a/*/c/d");
-    let abs2 = xpe("/a/b/c/d/e/f");
-    group.bench_function("abs_dispatch", |b| {
-        b.iter(|| covers(std::hint::black_box(&abs1), std::hint::black_box(&abs2)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_overlap, bench_covering);
-
-mod scaling {
-    //! Flat linear scan vs the shared-NFA `AutomatonPrt`, at growing
-    //! subscription counts, over the NITF `set_a` workload (Table 1's
-    //! setting). Criterion's offline stand-in emits no reports, so this
-    //! self-times with `Instant` and writes the JSON artifact directly.
-    //!
-    //! Before timing, every level asserts the two routers report
-    //! bit-identical match sets per publication path (the automaton's
-    //! equivalence is additionally property-tested in
-    //! `crates/core/tests/automaton_props.rs`).
-
-    use std::time::Instant;
-    use xdn_bench::SEED;
-    use xdn_core::automaton::AutomatonPrt;
-    use xdn_core::rtable::{FlatPrt, PublicationRouter, SubId};
-    use xdn_workloads::{docs, nitf_dtd, sets};
-
-    const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matching.json");
-
-    struct Level {
-        subscriptions: usize,
-        flat_ns_per_pub: f64,
-        automaton_ns_per_pub: f64,
-        speedup: f64,
-        matches: u64,
-    }
-
-    fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
-        match std::env::var(key) {
-            Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-            Err(_) => default.to_vec(),
-        }
-    }
-
-    fn env_usize(key: &str, default: usize) -> usize {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(default)
-    }
-
-    pub fn run() {
-        let levels = env_usize_list("XDN_BENCH_SUBS", &[1_000, 10_000, 50_000]);
-        let iters = env_usize("XDN_BENCH_ITERS", 3).max(1);
-        let max_subs = levels.iter().copied().max().unwrap_or(0);
-        if max_subs == 0 {
-            eprintln!("XDN_BENCH_SUBS is empty; nothing to measure");
-            return;
-        }
-
-        let dtd = nitf_dtd();
-        let queries = sets::set_a(&dtd, max_subs, SEED + 30);
-        let documents = docs::documents(&dtd, 40, SEED + 31);
-        let paths: Vec<Vec<String>> = docs::publication_paths(&documents)
-            .into_iter()
-            .map(|p| p.elements)
-            .collect();
-        let routed = (iters * paths.len()) as u64;
-
-        let mut results = Vec::new();
-        for &n in &levels {
-            let subs = &queries[..n.min(queries.len())];
-            let mut flat: FlatPrt<u32> = FlatPrt::new();
-            let mut automaton: AutomatonPrt<u32> = AutomatonPrt::new();
-            for (i, q) in subs.iter().enumerate() {
-                flat.insert(SubId(i as u64), q.clone(), i as u32);
-                automaton.insert(SubId(i as u64), q.clone(), i as u32);
-            }
-
-            // Untimed equivalence gate: the two routers must agree on
-            // the exact match set of every publication path.
-            fn match_set(r: &dyn PublicationRouter<u32>, p: &[String]) -> Vec<(SubId, u32)> {
-                let mut out = Vec::new();
-                r.for_each_matching_with_attrs(p, &[], &mut |id, h| out.push((id, *h)));
-                out.sort_unstable();
-                out
-            }
-            for p in &paths {
-                assert_eq!(
-                    match_set(&automaton, p),
-                    match_set(&flat, p),
-                    "automaton diverges from flat at n={n} on {p:?}"
-                );
-            }
-
-            let mut flat_matches = 0u64;
-            let started = Instant::now();
-            for _ in 0..iters {
-                for p in &paths {
-                    flat_matches += flat.matching_hops(std::hint::black_box(p), &[]).len() as u64;
-                }
-            }
-            let flat_ns = started.elapsed().as_nanos() as f64 / routed as f64;
-
-            let mut automaton_matches = 0u64;
-            let started = Instant::now();
-            for _ in 0..iters {
-                for p in &paths {
-                    automaton_matches +=
-                        automaton.matching_hops(std::hint::black_box(p), &[]).len() as u64;
-                }
-            }
-            let automaton_ns = started.elapsed().as_nanos() as f64 / routed as f64;
-
-            assert_eq!(
-                flat_matches, automaton_matches,
-                "automaton must select exactly the scan's matches at n={n}"
-            );
-            let speedup = flat_ns / automaton_ns.max(f64::EPSILON);
-            println!(
-                "bench matching/scaling subs={n}: flat {flat_ns:.0} ns/pub, \
-                 automaton {automaton_ns:.0} ns/pub, speedup {speedup:.1}x"
-            );
-            results.push(Level {
-                subscriptions: n,
-                flat_ns_per_pub: flat_ns,
-                automaton_ns_per_pub: automaton_ns,
-                speedup,
-                matches: flat_matches / iters as u64,
-            });
-        }
-
-        let json = render_json(&results, paths.len(), iters);
-        match std::fs::write(OUT_PATH, &json) {
-            Ok(()) => println!("wrote {OUT_PATH}"),
-            Err(e) => eprintln!("failed to write {OUT_PATH}: {e}"),
-        }
-    }
-
-    fn render_json(levels: &[Level], paths: usize, iters: usize) -> String {
-        let rows: Vec<String> = levels
-            .iter()
-            .map(|l| {
-                format!(
-                    "    {{\"subscriptions\": {}, \"flat_ns_per_pub\": {:.1}, \
-                     \"automaton_ns_per_pub\": {:.1}, \"speedup\": {:.2}, \
-                     \"matches_per_pass\": {}}}",
-                    l.subscriptions,
-                    l.flat_ns_per_pub,
-                    l.automaton_ns_per_pub,
-                    l.speedup,
-                    l.matches,
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"bench\": \"matching\",\n  \"workload\": \"nitf set_a\",\n  \
-             \"publication_paths\": {paths},\n  \"iters\": {iters},\n  \"levels\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        )
-    }
+fn env_usize(key: &str, default: usize) -> usize {
+    std::env::var(key)
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(default)
 }
 
 fn main() {
-    benches();
-    scaling::run();
+    let levels = env_usize_list("XDN_BENCH_SUBS", &[1_000, 10_000, 50_000]);
+    let iters = env_usize("XDN_BENCH_ITERS", 3).max(1);
+    let max_subs = levels.iter().copied().max().unwrap_or(0);
+    if max_subs == 0 {
+        eprintln!("XDN_BENCH_SUBS is empty; nothing to measure");
+        return;
+    }
+
+    let dtd = nitf_dtd();
+    let queries = sets::set_a(&dtd, max_subs, SEED + 30);
+    let documents = docs::documents(&dtd, 40, SEED + 31);
+    let paths: Vec<Vec<String>> = docs::publication_paths(&documents)
+        .into_iter()
+        .map(|p| p.elements)
+        .collect();
+    let routed = (iters * paths.len()) as u64;
+
+    let mut results = Vec::new();
+    for &n in &levels {
+        let subs = &queries[..n.min(queries.len())];
+        let mut flat: FlatPrt<u32> = FlatPrt::new();
+        let mut automaton: AutomatonPrt<u32> = AutomatonPrt::new();
+        for (i, q) in subs.iter().enumerate() {
+            flat.insert(SubId(i as u64), q.clone(), i as u32);
+            automaton.insert(SubId(i as u64), q.clone(), i as u32);
+        }
+
+        // Untimed equivalence gate: the two routers must agree on
+        // the exact match set of every publication path.
+        fn match_set(r: &dyn PublicationRouter<u32>, p: &[String]) -> Vec<(SubId, u32)> {
+            let mut out = Vec::new();
+            r.for_each_matching_with_attrs(p, &[], &mut |id, h| out.push((id, *h)));
+            out.sort_unstable();
+            out
+        }
+        for p in &paths {
+            assert_eq!(
+                match_set(&automaton, p),
+                match_set(&flat, p),
+                "automaton diverges from flat at n={n} on {p:?}"
+            );
+        }
+
+        let mut flat_matches = 0u64;
+        let started = Instant::now();
+        for _ in 0..iters {
+            for p in &paths {
+                flat_matches += flat.matching_hops(std::hint::black_box(p), &[]).len() as u64;
+            }
+        }
+        let flat_ns = started.elapsed().as_nanos() as f64 / routed as f64;
+
+        let mut automaton_matches = 0u64;
+        let started = Instant::now();
+        for _ in 0..iters {
+            for p in &paths {
+                automaton_matches +=
+                    automaton.matching_hops(std::hint::black_box(p), &[]).len() as u64;
+            }
+        }
+        let automaton_ns = started.elapsed().as_nanos() as f64 / routed as f64;
+
+        assert_eq!(
+            flat_matches, automaton_matches,
+            "automaton must select exactly the scan's matches at n={n}"
+        );
+        let speedup = flat_ns / automaton_ns.max(f64::EPSILON);
+        println!(
+            "bench matching/scaling subs={n}: flat {flat_ns:.0} ns/pub, \
+             automaton {automaton_ns:.0} ns/pub, speedup {speedup:.1}x"
+        );
+        results.push(Level {
+            subscriptions: n,
+            flat_ns_per_pub: flat_ns,
+            automaton_ns_per_pub: automaton_ns,
+            speedup,
+            matches: flat_matches / iters as u64,
+        });
+    }
+
+    let json = render_json(&results, paths.len(), iters);
+    match std::fs::write(OUT_PATH, &json) {
+        Ok(()) => println!("wrote {OUT_PATH}"),
+        Err(e) => eprintln!("failed to write {OUT_PATH}: {e}"),
+    }
+}
+
+fn render_json(levels: &[Level], paths: usize, iters: usize) -> String {
+    let rows: Vec<String> = levels
+        .iter()
+        .map(|l| {
+            format!(
+                "    {{\"subscriptions\": {}, \"flat_ns_per_pub\": {:.1}, \
+                 \"automaton_ns_per_pub\": {:.1}, \"speedup\": {:.2}, \
+                 \"matches_per_pass\": {}}}",
+                l.subscriptions, l.flat_ns_per_pub, l.automaton_ns_per_pub, l.speedup, l.matches,
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"bench\": \"matching\",\n  \"workload\": \"nitf set_a\",\n  \
+         \"publication_paths\": {paths},\n  \"iters\": {iters},\n  \"levels\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
 }

@@ -14,9 +14,8 @@
 //! process-wide counters ([`wire::codec_stats`]) as deltas around each
 //! timed section, so the artifact proves the "exactly one encode per
 //! fan-out" property rather than asserting it from first principles.
-//! Writes `BENCH_wire.json` at the workspace root. Criterion's offline
-//! stand-in emits no reports, so this self-times with `Instant` like
-//! the other benches.
+//! Writes `BENCH_wire.json` at the workspace root. Self-timed with
+//! `Instant`, like the `matching` bench.
 //!
 //! Environment knobs (for CI smoke runs):
 //! * `XDN_BENCH_ITERS` — timed passes over the publication set

@@ -7,9 +7,11 @@
 //!
 //! * the `repro` binary (`cargo run -p xdn-bench --release --bin repro`),
 //!   which prints paper-style tables,
-//! * the Criterion micro-benchmarks in `benches/`,
 //! * the cross-crate integration tests, which assert the paper's
 //!   qualitative shapes (who wins, by roughly what factor).
+//!
+//! The self-timed benches in `benches/` (`matching`, `wire`) write the
+//! `BENCH_*.json` artifacts.
 //!
 //! Absolute numbers differ from the paper — its testbed was a 2003-era
 //! cluster and PlanetLab — but each experiment preserves the relation

@@ -12,7 +12,9 @@
 //! Soundness note: a false positive here merely forwards a subscription
 //! one hop too far (wasted traffic); a false negative breaks delivery.
 //! Every algorithm in this module is exact except where explicitly
-//! documented.
+//! documented. Each rule has one implementation; the relative rule
+//! scans every window instead of taking the paper's KMP shift (see
+//! [`rel_expr_and_adv`]).
 
 use crate::adv::{AdvPath, Advertisement};
 use xdn_xpath::{Axis, NodeTest, Step, Xpe};
@@ -44,89 +46,21 @@ pub fn abs_expr_and_adv(adv: &AdvPath, sub: &Xpe) -> bool {
             .all(|(s, a)| s.test.overlaps(a))
 }
 
-/// Naive `RelExprAndAdv` (§3.2): overlap of a *relative simple* XPE
-/// with a non-recursive advertisement, trying every alignment.
-/// `O(n·k)`; the reference implementation for the optimized variant.
-pub fn rel_expr_and_adv_naive(adv: &AdvPath, sub: &Xpe) -> bool {
-    debug_assert!(!sub.is_absolute() && sub.is_simple());
-    let pattern = sub.steps();
-    let text = adv.positions();
-    if pattern.len() > text.len() {
-        return false;
-    }
-    (0..=text.len() - pattern.len()).any(|o| {
-        pattern
-            .iter()
-            .zip(&text[o..])
-            .all(|(s, a)| s.test.overlaps(a))
-    })
-}
-
-/// Optimized `RelExprAndAdv` (§3.2): the KMP-style variant.
+/// `RelExprAndAdv` (§3.2): overlap of a *relative simple* XPE with a
+/// non-recursive advertisement. The subscription floats, so it overlaps
+/// iff some window of the advertisement overlaps it position-wise;
+/// every window is tried, `O(n·k)`.
 ///
-/// The paper observes this is a string-matching problem and applies KMP
-/// to reduce comparisons. Plain KMP is unsound when the *text* (the
-/// advertisement) contains wildcards — a text wildcard matches the
-/// pattern during the scan but carries no information for the shift
-/// rule — so this implementation uses the KMP shift computed from the
-/// pattern's *overlap borders* when the advertisement is wildcard-free
-/// (the case for every DTD-derived advertisement) and falls back to the
-/// naive scan otherwise. Agreement with [`rel_expr_and_adv_naive`] is
-/// enforced by property tests.
+/// The paper shortens this scan with a KMP shift. That shift is unsound
+/// when the advertisement contains wildcards (DESIGN.md §6), and the
+/// scan costs at most `k·n` step tests with `k ≤ 10` at the paper's
+/// query lengths, so only the scan is kept.
 pub fn rel_expr_and_adv(adv: &AdvPath, sub: &Xpe) -> bool {
-    if adv.positions().iter().any(NodeTest::is_wildcard) {
-        return rel_expr_and_adv_naive(adv, sub);
-    }
     debug_assert!(!sub.is_absolute() && sub.is_simple());
     let pattern = sub.steps();
-    let text = adv.positions();
-    let k = pattern.len();
-    let n = text.len();
-    if k > n {
-        return false;
-    }
-    let borders = overlap_borders(pattern);
-    let mut o = 0usize; // current alignment
-    let mut j = 0usize; // matched length at this alignment
-    while o + k <= n {
-        while j < k && pattern[j].test.overlaps(&text[o + j]) {
-            j += 1;
-        }
-        if j == k {
-            return true;
-        }
-        if j == 0 {
-            o += 1;
-        } else {
-            // Skip alignments that cannot match: alignment o+d is
-            // viable only if d is an overlap-period of pattern[..j].
-            let shift = j - borders[j];
-            o += shift;
-            // Re-verify the carried prefix: pattern wildcards in the
-            // matched window under-constrain the text, so unlike exact
-            // KMP the carried prefix cannot be assumed matched.
-            j = 0;
-        }
-    }
-    false
-}
-
-/// `borders[j]` = length of the longest proper prefix of `pattern[..j]`
-/// that position-wise *overlaps* the suffix of `pattern[..j]`. This is
-/// the conservative analogue of the KMP failure function: an alignment
-/// shift `d = j - borders[j]` provably skips only alignments that
-/// cannot match a wildcard-free text.
-pub(crate) fn overlap_borders(pattern: &[Step]) -> Vec<usize> {
-    let k = pattern.len();
-    let mut borders = vec![0usize; k + 1];
-    for j in 2..=k {
-        // Longest b < j with pattern[i] ~ pattern[j-b+i] for all i < b.
-        borders[j] = (1..j)
-            .rev()
-            .find(|&b| (0..b).all(|i| pattern[i].test.overlaps(&pattern[j - b + i].test)))
-            .unwrap_or(0);
-    }
-    borders
+    adv.positions()
+        .windows(pattern.len())
+        .any(|window| pattern.iter().zip(window).all(|(s, a)| s.test.overlaps(a)))
 }
 
 /// `DesExprAndAdv` (§3.2): overlap of an XPE containing descendant
@@ -317,8 +251,9 @@ pub fn adv_overlaps_sub(adv: &Advertisement, sub: &Xpe) -> bool {
 #[derive(Debug, Clone)]
 pub struct PreparedAdv {
     adv: Advertisement,
-    /// `None` for non-recursive advertisements (matched directly).
-    expansions: Option<Vec<AdvPath>>,
+    /// The recursive advertisement's expansions; empty for a
+    /// non-recursive one, which is matched directly.
+    expansions: Vec<AdvPath>,
     max_sub_len: usize,
 }
 
@@ -326,7 +261,7 @@ impl PreparedAdv {
     /// Prepares `adv` for subscriptions up to `max_sub_len` steps.
     pub fn new(adv: Advertisement, max_sub_len: usize) -> Self {
         let expansions = if adv.as_non_recursive().is_some() {
-            None
+            Vec::new()
         } else {
             let k = max_sub_len;
             let longest_period = adv
@@ -335,7 +270,7 @@ impl PreparedAdv {
                 .map(crate::adv::AdvSegment::min_len)
                 .max()
                 .unwrap_or(1);
-            Some(adv.expansions(2 * k + 2, adv.min_len() + k + longest_period + 1))
+            adv.expansions(2 * k + 2, adv.min_len() + k + longest_period + 1)
         };
         PreparedAdv {
             adv,
@@ -355,14 +290,9 @@ impl PreparedAdv {
         if sub.len() > self.max_sub_len {
             return adv_overlaps_sub(&self.adv, sub);
         }
-        match &self.expansions {
-            None => nonrec_overlaps(
-                self.adv
-                    .as_non_recursive()
-                    .expect("non-recursive by construction"),
-                sub,
-            ),
-            Some(exps) => exps.iter().any(|e| nonrec_overlaps(e, sub)),
+        match self.adv.as_non_recursive() {
+            Some(path) => nonrec_overlaps(path, sub),
+            None => self.expansions.iter().any(|e| nonrec_overlaps(e, sub)),
         }
     }
 }
@@ -431,46 +361,30 @@ mod tests {
     }
 
     #[test]
-    fn rel_overlap_naive() {
+    fn rel_overlap_basic() {
         let a = path(&["a", "b", "c", "d"]);
-        assert!(rel_expr_and_adv_naive(&a, &xpe("b/c")));
-        assert!(rel_expr_and_adv_naive(&a, &xpe("c/d")));
-        assert!(!rel_expr_and_adv_naive(&a, &xpe("b/d")));
-        assert!(!rel_expr_and_adv_naive(&a, &xpe("a/b/c/d/e")));
+        assert!(rel_expr_and_adv(&a, &xpe("b/c")));
+        assert!(rel_expr_and_adv(&a, &xpe("c/d")));
+        assert!(!rel_expr_and_adv(&a, &xpe("b/d")));
+        assert!(!rel_expr_and_adv(&a, &xpe("a/b/c/d/e")));
+        // A periodic advertisement: each `a/b` window fails on `c`.
+        let periodic = path(&["a", "b", "a", "b", "a"]);
+        assert!(!rel_expr_and_adv(&periodic, &xpe("a/b/c")));
     }
 
     #[test]
-    fn rel_kmp_agrees_on_tricky_cases() {
-        // The alignment KMP-with-equality would skip: pattern wildcards.
-        let a = path(&["x", "a", "a", "b"]);
-        let s = xpe("*/a/b");
-        assert!(rel_expr_and_adv_naive(&a, &s));
-        assert!(rel_expr_and_adv(&a, &s));
-
-        // Text wildcards force the naive fallback.
-        let a2 = path(&["a", "*", "b", "c"]);
-        let s2 = xpe("a/b/c");
-        assert!(rel_expr_and_adv_naive(&a2, &s2));
-        assert!(rel_expr_and_adv(&a2, &s2));
-    }
-
-    #[test]
-    fn rel_kmp_negative() {
-        let a = path(&["a", "b", "a", "b", "a"]);
-        assert!(!rel_expr_and_adv(&a, &xpe("a/b/c")));
-        assert!(!rel_expr_and_adv_naive(&a, &xpe("a/b/c")));
-    }
-
-    #[test]
-    fn overlap_borders_wildcard_aware() {
-        // pattern */a : border of length-2 prefix is 1 because `*`
-        // overlaps `a`.
-        let s = xpe("*/a");
-        let b = overlap_borders(s.steps());
-        assert_eq!(b[2], 1);
-        let s2 = xpe("a/b");
-        let b2 = overlap_borders(s2.steps());
-        assert_eq!(b2[2], 0);
+    fn rel_overlap_wildcards() {
+        // A subscription wildcard: the match starts at the first `a`,
+        // which a shift by equality would skip.
+        assert!(rel_expr_and_adv(
+            &path(&["x", "a", "a", "b"]),
+            &xpe("*/a/b")
+        ));
+        // An advertisement wildcard stands for the subscription's `a`.
+        assert!(rel_expr_and_adv(
+            &path(&["a", "*", "b", "c"]),
+            &xpe("a/b/c")
+        ));
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //! (Miklau & Suciu), so like the paper this module implements *sound*
 //! PTIME rules: [`covers`] never returns `true` unless containment
 //! provably holds (soundness is what correctness of covering-based
-//! routing requires — a false `true` would drop live subscriptions),
-//! and it is complete on the simple sub-fragments the paper analyses.
+//! routing requires — a false `true` would drop live subscriptions).
+//! On simple expressions it is exact but for one gap: an absolute
+//! all-`*` coverer with no more steps than a relative coveree (see
+//! [`covers`]). A missed covering costs forwarding traffic, never a
+//! delivery.
 //!
 //! Algorithms: `AbsSimCov` ([`abs_sim_cov`]) for two absolute simple
-//! XPEs, `RelSimCov` ([`rel_sim_cov`], with the KMP-style shift
-//! optimization of §4.2) for a relative simple coverer, and `DesCov`
-//! ([`des_cov`]) for expressions containing descendant operators,
-//! including the paper's trailing-wildcard special case.
+//! XPEs, `RelSimCov` ([`rel_sim_cov`], a scan over every window rather
+//! than the paper's KMP shift) for a relative simple coverer, and
+//! `DesCov` ([`des_cov`]) for expressions containing descendant
+//! operators, including the paper's trailing-wildcard special case.
 //!
 //! Every one of these rules places each step of the coverer on a step
 //! of its own in the coveree, and a name test covers only the same
@@ -26,13 +29,15 @@
 //! one expression against many stored ones (the subscription tree) run
 //! before `covers`.
 
-use crate::advmatch::overlap_borders;
 use xdn_xpath::{Axis, Step, Xpe};
 
 /// True if `s1` covers `s2` (`P(s1) ⊇ P(s2)`).
 ///
 /// Dispatches to the specialised algorithms below. Sound for the whole
-/// fragment; complete for simple expressions.
+/// fragment. On simple expressions it is exact except when `s1` is
+/// absolute, all `*`, and no longer than a relative `s2`: every path
+/// matching `s2` then has at least `s1.len()` elements, so `s1` covers
+/// `s2`, but this returns false (`covers("/*", "a")`).
 ///
 /// ```
 /// use xdn_core::cover::covers;
@@ -44,8 +49,11 @@ pub fn covers(s1: &Xpe, s2: &Xpe) -> bool {
     if s1.is_simple() && s2.is_simple() {
         match (s1.is_absolute(), s2.is_absolute()) {
             (true, true) => abs_sim_cov(s1, s2),
-            // An absolute XPE refers to a strictly smaller matching set
-            // than any relative XPE with comparable structure (§4.2).
+            // A relative XPE's paths may start with any elements, which
+            // only an all-`*` absolute XPE accepts. That case is left
+            // uncovered (see above): the subscription tree's root
+            // buckets assume it, so covering it would move forwarding
+            // decisions.
             (true, false) => false,
             (false, _) => rel_sim_cov(s1, s2),
         }
@@ -109,52 +117,16 @@ pub fn abs_sim_cov(s1: &Xpe, s2: &Xpe) -> bool {
     s1.len() <= s2.len() && s1.steps().iter().zip(s2.steps()).all(|(a, b)| a.covers(b))
 }
 
-/// Naive `RelSimCov` (§4.2): a relative simple `s1` covers `s2`
-/// (absolute or relative, simple) iff `s1` embeds position-wise at some
-/// offset of `s2`. `O(k·n)` reference implementation.
-pub fn rel_sim_cov_naive(s1: &Xpe, s2: &Xpe) -> bool {
-    debug_assert!(!s1.is_absolute() && s1.is_simple() && s2.is_simple());
-    let pat = s1.steps();
-    let text = s2.steps();
-    if pat.len() > text.len() {
-        return false;
-    }
-    (0..=text.len() - pat.len()).any(|o| pat.iter().zip(&text[o..]).all(|(a, b)| a.covers(b)))
-}
-
-/// Optimized `RelSimCov` (§4.2): the same decision with the KMP-style
-/// shift rule. The shift is computed from the pattern's overlap borders
-/// (two tests are shift-compatible iff some concrete test satisfies
-/// both), which provably skips only impossible alignments; the carried
-/// prefix is re-verified because wildcards under-constrain the skipped
-/// window. Equivalence with [`rel_sim_cov_naive`] is property-tested.
+/// `RelSimCov` (§4.2): a relative simple `s1` covers `s2` (absolute or
+/// relative, simple) iff `s1` covers some window of `s2` position-wise.
+/// Every window is tried, `O(k·n)`; the paper's KMP shift is not used
+/// (see [`crate::advmatch::rel_expr_and_adv`]).
 pub fn rel_sim_cov(s1: &Xpe, s2: &Xpe) -> bool {
     debug_assert!(!s1.is_absolute() && s1.is_simple() && s2.is_simple());
-    let pat = s1.steps();
-    let text = s2.steps();
-    let k = pat.len();
-    let n = text.len();
-    if k > n {
-        return false;
-    }
-    let borders = overlap_borders(pat);
-    let mut o = 0usize;
-    let mut j = 0usize;
-    while o + k <= n {
-        while j < k && pat[j].covers(&text[o + j]) {
-            j += 1;
-        }
-        if j == k {
-            return true;
-        }
-        if j == 0 {
-            o += 1;
-        } else {
-            o += j - borders[j];
-            j = 0;
-        }
-    }
-    false
+    let pattern = s1.steps();
+    s2.steps()
+        .windows(pattern.len())
+        .any(|window| pattern.iter().zip(window).all(|(a, b)| a.covers(b)))
 }
 
 /// `DesCov` (§4.2): covering when either expression may contain `//`.
@@ -350,24 +322,32 @@ mod tests {
     }
 
     #[test]
-    fn rel_naive_and_kmp_agree_on_wildcards() {
+    fn rel_sim_cov_on_wildcards() {
         let cases = [
-            ("*/a", "/x/a/y"),
-            ("*/a", "/a/x"),
-            ("a/*", "/a/b"),
-            ("a/*/a", "/a/b/a"),
-            ("*/*", "/a/b"),
-            ("a/b", "/a/*"),
-            ("a/a", "/x/a/a/y"),
+            ("*/a", "/x/a/y", true),
+            ("*/a", "/a/x", false),
+            ("a/*", "/a/b", true),
+            ("a/*/a", "/a/b/a", true),
+            ("*/*", "/a/b", true),
+            ("a/b", "/a/*", false),
+            ("a/a", "/x/a/a/y", true),
         ];
-        for (a, b) in cases {
-            let (s1, s2) = (xpe(a), xpe(b));
-            assert_eq!(
-                rel_sim_cov_naive(&s1, &s2),
-                rel_sim_cov(&s1, &s2),
-                "disagree on {a} vs {b}"
-            );
+        for (a, b, expect) in cases {
+            assert_eq!(rel_sim_cov(&xpe(a), &xpe(b)), expect, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn gap_absolute_wildcards_over_relative() {
+        // A path matching a relative XPE has at least as many elements
+        // as the XPE has steps, so an absolute all-`*` XPE no longer
+        // than it covers it: `/*` covers `a`, and `/*/*` covers `a/b`
+        // and `*/*/*`. `covers` never lets an absolute XPE cover a
+        // relative one, so it misses these; the miss costs traffic,
+        // not deliveries.
+        assert!(!c("/*", "a"));
+        assert!(!c("/*/*", "a/b"));
+        assert!(!c("/*/*", "*/*/*"));
     }
 
     #[test]

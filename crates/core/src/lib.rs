@@ -13,8 +13,8 @@
 //!   `AbsExprAndSimRecAdv`, and the series/embedded generalizations).
 //! * [`cover`] — the covering (containment) algorithms of §4.2
 //!   (`AbsSimCov`, `RelSimCov`, `DesCov`).
-//! * [`subtree`] — the subscription tree with super pointers (§4.1),
-//!   which decides what a covering broker forwards.
+//! * [`subtree`] — the subscription tree (§4.1), which decides what a
+//!   covering broker forwards.
 //! * [`merge`] — the merging rules and the imperfect-merging degree
 //!   `D_imperfect` (§4.3).
 //! * [`rtable`] — the subscription routing table (SRT) and publication

@@ -3,8 +3,10 @@
 //! Each broker maintains its subscriptions in a tree ordered by the
 //! covering relation: a node's expression covers every expression in
 //! its subtree. Because covering is a partial order, a tree cannot
-//! capture every relation; *super pointers* record covering relations
-//! that cross subtrees, turning the structure into a DAG.
+//! capture every relation: a node may also cover nodes in other
+//! subtrees. The paper records those with *super pointers*, turning the
+//! tree into a DAG. Nothing here would read them (forwarding needs only
+//! the top-level nodes), so the tree keeps its tree edges only.
 //!
 //! The tree serves two routing purposes, both decided at subscribe
 //! time:
@@ -99,10 +101,6 @@ struct NodeData<T> {
     payload: T,
     parent: Option<NodeId>,
     children: Vec<NodeId>,
-    /// Covering shortcuts to nodes outside this node's subtree.
-    supers: Vec<NodeId>,
-    /// Reverse of `supers`, for O(degree) cleanup on removal.
-    super_parents: Vec<NodeId>,
 }
 
 /// Bucket key for the top-level index.
@@ -128,9 +126,9 @@ fn root_key(xpe: &Xpe) -> RootKey<'_> {
     }
 }
 
-/// The subscription tree: a covering-ordered forest with super
-/// pointers, generic over a per-subscription payload `T` (e.g. the set
-/// of last hops in a publication routing table).
+/// The subscription tree: a covering-ordered forest, generic over a
+/// per-subscription payload `T` (e.g. the set of last hops in a
+/// publication routing table).
 ///
 /// ```
 /// use xdn_core::subtree::SubscriptionTree;
@@ -154,7 +152,6 @@ pub struct SubscriptionTree<T> {
     complex_roots: Vec<NodeId>,
     free: Vec<u32>,
     len: usize,
-    eager_supers: bool,
 }
 
 impl<T> Default for SubscriptionTree<T> {
@@ -173,10 +170,7 @@ impl<T: fmt::Debug> fmt::Debug for SubscriptionTree<T> {
 }
 
 impl<T> SubscriptionTree<T> {
-    /// Creates an empty tree with lazy super-pointer maintenance (the
-    /// paper notes eager maintenance "becomes expensive when the
-    /// subscription tree grows larger" and that updating "can be
-    /// postponed").
+    /// Creates an empty tree.
     pub fn new() -> Self {
         SubscriptionTree {
             nodes: Vec::new(),
@@ -186,16 +180,6 @@ impl<T> SubscriptionTree<T> {
             complex_roots: Vec::new(),
             free: Vec::new(),
             len: 0,
-            eager_supers: false,
-        }
-    }
-
-    /// Creates a tree that maintains super pointers eagerly on every
-    /// insert — the ablation counterpart of the default lazy mode.
-    pub fn with_eager_super_pointers() -> Self {
-        SubscriptionTree {
-            eager_supers: true,
-            ..Self::new()
         }
     }
 
@@ -263,12 +247,6 @@ impl<T> SubscriptionTree<T> {
         self.node(id).parent
     }
 
-    /// Super pointers of `id`: covered nodes outside its subtree
-    /// (populated in eager mode, or by [`Self::refresh_super_pointers`]).
-    pub fn super_pointers(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).supers
-    }
-
     /// Iterates over every stored node.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Xpe, &T)> {
         self.nodes.iter().enumerate().filter_map(|(i, slot)| {
@@ -317,23 +295,16 @@ impl<T> SubscriptionTree<T> {
                 payload,
                 parent,
                 children: covered.clone(),
-                supers: Vec::new(),
-                super_parents: Vec::new(),
             });
             for &c in &covered {
                 self.detach_from_parent_list(c);
                 self.node_mut(c).parent = Some(id);
-                // Super pointers from the demoted node's old parent that
-                // now fall inside the new subtree are redundant.
             }
             match parent {
                 None => self.push_root(id),
                 Some(p) => self.node_mut(p).children.push(id),
             }
             self.len += 1;
-            if self.eager_supers {
-                self.add_super_pointers_for(id);
-            }
             return match parent {
                 None => Insertion::NewTop {
                     id,
@@ -362,15 +333,6 @@ impl<T> SubscriptionTree<T> {
     ///
     /// Panics if `id` is stale.
     pub fn remove(&mut self, id: NodeId) -> (T, Vec<NodeId>) {
-        // Drop super pointers in both directions.
-        let supers = std::mem::take(&mut self.node_mut(id).supers);
-        for s in supers {
-            self.node_mut(s).super_parents.retain(|&p| p != id);
-        }
-        let super_parents = std::mem::take(&mut self.node_mut(id).super_parents);
-        for p in super_parents {
-            self.node_mut(p).supers.retain(|&s| s != id);
-        }
         self.detach_from_parent_list(id);
         let parent = self.node(id).parent;
         let children = std::mem::take(&mut self.node_mut(id).children);
@@ -500,49 +462,6 @@ impl<T> SubscriptionTree<T> {
         }
     }
 
-    /// Computes super pointers for `id`: the topmost stored nodes
-    /// covered by `id` that are not in its subtree. Eager trees call
-    /// this on every insert; lazy trees may call it on demand.
-    pub fn refresh_super_pointers(&mut self, id: NodeId) {
-        // Drop existing outgoing pointers.
-        let old = std::mem::take(&mut self.node_mut(id).supers);
-        for s in old {
-            self.node_mut(s).super_parents.retain(|&p| p != id);
-        }
-        self.add_super_pointers_for(id);
-    }
-
-    fn add_super_pointers_for(&mut self, id: NodeId) {
-        let node = self.node(id);
-        let (xpe, sig) = (&node.xpe, node.sig);
-        let mut found = Vec::new();
-        let mut stack: Vec<NodeId> = self.roots.clone();
-        while let Some(n) = stack.pop() {
-            if n == id || self.is_descendant(n, id) {
-                continue;
-            }
-            if self.covers_node(xpe, sig, n) {
-                found.push(n); // topmost: don't descend further
-            } else {
-                stack.extend(self.node(n).children.iter().copied());
-            }
-        }
-        for &t in &found {
-            self.node_mut(t).super_parents.push(id);
-        }
-        self.node_mut(id).supers = found;
-    }
-
-    fn is_descendant(&self, mut n: NodeId, ancestor: NodeId) -> bool {
-        while let Some(p) = self.node(n).parent {
-            if p == ancestor {
-                return true;
-            }
-            n = p;
-        }
-        false
-    }
-
     /// Depth of the deepest node (empty tree has depth 0).
     pub fn depth(&self) -> usize {
         fn rec<T>(tree: &SubscriptionTree<T>, id: NodeId) -> usize {
@@ -590,11 +509,6 @@ impl<T> SubscriptionTree<T> {
             for &c in &n.children {
                 if self.node(c).parent != Some(id) {
                     return Err(format!("child {c} of {id} has wrong parent link"));
-                }
-            }
-            for &s in &n.supers {
-                if !covers(&n.xpe, &self.node(s).xpe) {
-                    return Err(format!("super pointer {id} -> {s} without covering"));
                 }
             }
         }
@@ -778,51 +692,6 @@ mod tests {
             "child promoted to grandparent, not to top"
         );
         assert_eq!(t.parent(c), Some(a));
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn eager_super_pointers() {
-        let mut t = SubscriptionTree::with_eager_super_pointers();
-        t.insert(xpe("/a/b"), 0);
-        t.insert(xpe("/x/b"), 1);
-        // `b` covers both, but the tree adopts them as children; a
-        // super pointer appears when a relation crosses subtrees:
-        let wide1 = t.insert(xpe("/a/*"), 2).id(); // adopts /a/b
-        let rel = t.insert(xpe("b"), 3).id(); // adopts /x/b, covers /a/b via subtree of /a/*
-                                              // rel covers /a/* ? no. rel covers /a/b which lives inside
-                                              // /a/*'s subtree → super pointer.
-        let supers = t.super_pointers(rel);
-        assert_eq!(supers.len(), 1);
-        assert!(covers(t.xpe(rel), t.xpe(supers[0])));
-        assert_ne!(t.parent(supers[0]), Some(rel));
-        let _ = wide1;
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lazy_supers_on_demand() {
-        let mut t = SubscriptionTree::new();
-        t.insert(xpe("/a/*"), 0);
-        let ab = t.insert(xpe("/a/b"), 1).id();
-        let rel = t.insert(xpe("b"), 2).id();
-        assert!(t.super_pointers(rel).is_empty());
-        t.refresh_super_pointers(rel);
-        assert_eq!(t.super_pointers(rel), &[ab]);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn super_pointers_cleaned_on_remove() {
-        let mut t = SubscriptionTree::with_eager_super_pointers();
-        t.insert(xpe("/a/*"), 0);
-        let ab = t.insert(xpe("/a/b"), 1).id();
-        let rel = t.insert(xpe("b"), 2).id();
-        assert_eq!(t.super_pointers(rel), &[ab]);
-        t.remove(ab);
-        assert!(t.super_pointers(rel).is_empty());
-        t.check_invariants().unwrap();
-        t.remove(rel);
         t.check_invariants().unwrap();
     }
 

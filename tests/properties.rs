@@ -8,19 +8,23 @@
 //! * adv–sub overlap completeness — if a publication matches both an
 //!   advertisement and a subscription, the overlap test must say so (a
 //!   false negative would break delivery);
-//! * optimized algorithms agree with their naive reference versions;
+//! * exactness on simple expressions — `covers` and `rel_expr_and_adv`
+//!   agree with matching witness paths in both directions (`covers`
+//!   with one recorded gap);
 //! * mergers cover their inputs.
 
 use proptest::prelude::*;
 use xdn::core::adv::{AdvPath, AdvSegment, Advertisement};
-use xdn::core::advmatch::{
-    adv_covers, adv_overlaps_sub, rel_expr_and_adv, rel_expr_and_adv_naive, PreparedAdv,
-};
-use xdn::core::cover::{covers, rel_sim_cov, rel_sim_cov_naive};
+use xdn::core::advmatch::{adv_covers, adv_overlaps_sub, rel_expr_and_adv, PreparedAdv};
+use xdn::core::cover::covers;
 use xdn::core::merge::{try_merge_pair, MergeConfig};
 use xdn::xpath::{Axis, NodeTest, Step, Xpe};
 
 const ALPHABET: &[&str] = &["a", "b", "c", "d"];
+
+/// A name no generated expression or advertisement tests: it stands for
+/// every element a `*` may match outside the alphabet.
+const OTHER: &str = "z";
 
 fn arb_test() -> impl Strategy<Value = NodeTest> {
     prop_oneof![
@@ -51,8 +55,8 @@ fn arb_xpe() -> impl Strategy<Value = Xpe> {
         })
 }
 
-fn arb_simple_xpe(absolute: bool) -> impl Strategy<Value = Xpe> {
-    prop::collection::vec(arb_test(), 1..6).prop_map(move |tests| {
+fn arb_simple_xpe() -> impl Strategy<Value = Xpe> {
+    (any::<bool>(), prop::collection::vec(arb_test(), 1..6)).prop_map(|(absolute, tests)| {
         let steps: Vec<Step> = tests
             .into_iter()
             .map(|test| Step {
@@ -74,6 +78,32 @@ fn arb_path() -> impl Strategy<Value = Vec<String>> {
 
 fn arb_adv_path() -> impl Strategy<Value = AdvPath> {
     prop::collection::vec(arb_test(), 1..8).prop_map(AdvPath::new)
+}
+
+/// `x`'s steps as a path, each `*` read as [`OTHER`].
+fn witness(x: &Xpe) -> Vec<&str> {
+    x.steps()
+        .iter()
+        .map(|s| s.test.name().unwrap_or(OTHER))
+        .collect()
+}
+
+/// Every publication `adv` advertises, up to renaming the elements no
+/// expression tests: each `*` becomes a name of the alphabet or
+/// [`OTHER`].
+fn publications(adv: &AdvPath) -> Vec<Vec<&str>> {
+    let mut paths = vec![Vec::new()];
+    for test in adv.positions() {
+        let names: Vec<&str> = match test.name() {
+            Some(n) => vec![n],
+            None => ALPHABET.iter().copied().chain([OTHER]).collect(),
+        };
+        paths = paths
+            .iter()
+            .flat_map(|p| names.iter().map(move |&n| [p.as_slice(), &[n]].concat()))
+            .collect();
+    }
+    paths
 }
 
 fn arb_advertisement() -> impl Strategy<Value = Advertisement> {
@@ -124,29 +154,42 @@ proptest! {
         }
     }
 
-    /// The KMP-style relative covering agrees with the naive scan.
+    /// Covering on simple expressions is exact: `s1` covers `s2` iff it
+    /// matches `s2`'s witness path and, when `s2` floats, that path
+    /// behind any number of other elements (more than `s1.len()` add
+    /// nothing). The one exception is pinned in `cover.rs`: an absolute
+    /// all-`*` `s1` no longer than a relative `s2` covers it, but
+    /// `covers` says false.
     #[test]
-    fn rel_cov_kmp_matches_naive(
-        s1 in arb_simple_xpe(false),
-        s2 in arb_simple_xpe(true),
-    ) {
+    fn simple_covering_is_exact(s1 in arb_simple_xpe(), s2 in arb_simple_xpe()) {
+        let max_prefix = if s2.is_absolute() { 0 } else { s1.len() };
+        let exact = (0..=max_prefix).all(|p| {
+            let mut path = vec![OTHER; p];
+            path.extend(witness(&s2));
+            s1.matches_path(&path)
+        });
+        let gap = s1.is_absolute()
+            && !s2.is_absolute()
+            && s1.len() <= s2.len()
+            && s1.steps().iter().all(|s| s.test.is_wildcard());
         prop_assert_eq!(
-            rel_sim_cov_naive(&s1, &s2),
-            rel_sim_cov(&s1, &s2),
-            "KMP disagreement on {} vs {}", &s1, &s2
+            covers(&s1, &s2),
+            exact && !gap,
+            "covers({}, {}) is inexact", &s1, &s2
         );
     }
 
-    /// The KMP-style relative overlap agrees with the naive scan.
+    /// Relative overlap is exact: a relative simple subscription
+    /// overlaps an advertisement path iff one of its publications
+    /// matches the subscription.
     #[test]
-    fn rel_overlap_kmp_matches_naive(
-        adv in arb_adv_path(),
-        sub in arb_simple_xpe(false),
-    ) {
+    fn relative_overlap_is_exact(adv in arb_adv_path(), sub in arb_simple_xpe()) {
+        let sub = Xpe::relative(sub.steps().to_vec());
+        let exact = publications(&adv).iter().any(|p| sub.matches_path(p));
         prop_assert_eq!(
-            rel_expr_and_adv_naive(&adv, &sub),
             rel_expr_and_adv(&adv, &sub),
-            "KMP overlap disagreement on {} vs {}", &adv, &sub
+            exact,
+            "rel_expr_and_adv({}, {}) is inexact", &adv, &sub
         );
     }
 
