@@ -18,6 +18,10 @@
 //! not per pass, means a preemption spoils one sample instead of a
 //! whole pass, while each pass still runs on warm caches.
 //!
+//! Publications are routed in document order, so the shared automaton
+//! resumes each path at the prefix it shares with the one before, and
+//! a path's time includes that reuse.
+//!
 //! Each cell is a [`Histogram`] of those per-publication fastest
 //! times. Its mean is the paper's figure; its quantiles spread over
 //! publications (cheap paths against expensive ones), so they are not

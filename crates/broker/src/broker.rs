@@ -422,9 +422,7 @@ impl Broker {
                 self.stats.record_received(MessageKind::Ack);
                 if let Some(nb) = from.as_broker() {
                     if let Some(link) = self.links.get_mut(&nb) {
-                        for lag in link.on_ack(epoch, seq) {
-                            self.stats.ack_lag.record(lag);
-                        }
+                        link.on_ack(epoch, seq, &mut self.stats.ack_lag);
                     }
                 }
                 return Vec::new();

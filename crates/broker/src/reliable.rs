@@ -30,8 +30,7 @@
 use crate::message::{BrokerId, Dest, Message};
 use crate::wire::{FrameBuf, SeqHeader};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Duration;
-use xdn_obs::Stopwatch;
+use xdn_obs::{Histogram, Stopwatch};
 
 /// Default bound on an [`OutboundLink`]'s unacked buffer. Sized so the
 /// chaos workloads never overflow; an overflow sheds the oldest frame
@@ -141,22 +140,20 @@ impl OutboundLink {
     }
 
     /// Applies a cumulative ack, pruning every frame with
-    /// `seq <= acked_seq` of the matching epoch. Returns the age of
-    /// each pruned frame (send-to-ack lag) for the histogram; acks for
-    /// other epochs are ignored.
-    pub fn on_ack(&mut self, epoch: u64, acked_seq: u64) -> Vec<Duration> {
+    /// `seq <= acked_seq` of the matching epoch and recording each
+    /// pruned frame's age (send-to-ack lag) into `lags`; acks for other
+    /// epochs are ignored.
+    pub fn on_ack(&mut self, epoch: u64, acked_seq: u64, lags: &mut Histogram) {
         if epoch != self.epoch {
-            return Vec::new();
+            return;
         }
-        let mut lags = Vec::new();
         while let Some((seq, _, sent)) = self.unacked.front() {
             if *seq > acked_seq {
                 break;
             }
-            lags.push(sent.elapsed());
+            lags.record(sent.elapsed());
             self.unacked.pop_front();
         }
-        lags
     }
 
     /// Re-stamps every unacked frame for replay after the peer asks to
@@ -255,7 +252,12 @@ impl DedupWindow {
         if seq <= self.cumulative || self.seen.contains(&seq) {
             return Admit::Duplicate;
         }
-        self.seen.insert(seq);
+        if seq == self.cumulative + 1 {
+            // In order: advance without a set insert and removal.
+            self.cumulative = seq;
+        } else {
+            self.seen.insert(seq);
+        }
         self.compact();
         if self.seen.len() > self.capacity {
             // Abandon the lowest gap to stay bounded.
@@ -292,6 +294,7 @@ pub struct ReliabilityState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hb() -> Message {
         Message::Heartbeat
@@ -317,14 +320,17 @@ mod tests {
             other => panic!("unexpected frames: {other:?}"),
         }
         assert_eq!(link.unacked_len(), 2);
+        let mut lags = Histogram::new();
         // An ack for a foreign epoch is ignored.
-        assert!(link.on_ack(2, 2).is_empty());
+        link.on_ack(2, 2, &mut lags);
+        assert_eq!(lags.count(), 0);
         assert_eq!(link.unacked_len(), 2);
-        let lags = link.on_ack(3, 1);
-        assert_eq!(lags.len(), 1);
+        link.on_ack(3, 1, &mut lags);
+        assert_eq!(lags.count(), 1);
         assert_eq!(link.unacked_len(), 1);
         assert_eq!(link.low(), 2);
-        link.on_ack(3, 2);
+        link.on_ack(3, 2, &mut lags);
+        assert_eq!(lags.count(), 2);
         assert_eq!(link.unacked_len(), 0);
         assert_eq!(link.low(), 3, "low is next_seq when nothing is unacked");
     }
@@ -335,7 +341,7 @@ mod tests {
         for _ in 0..3 {
             link.wrap(hb());
         }
-        link.on_ack(1, 1);
+        link.on_ack(1, 1, &mut Histogram::new());
         let replayed = link.replay();
         let seqs: Vec<u64> = replayed
             .iter()
@@ -413,6 +419,140 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The admission rule before in-order frames skipped the set:
+    /// every fresh seq is inserted, then compacted away.
+    struct InsertThenCompact {
+        epoch: u64,
+        cumulative: u64,
+        seen: BTreeSet<u64>,
+        capacity: usize,
+    }
+
+    impl InsertThenCompact {
+        fn new(capacity: usize) -> Self {
+            InsertThenCompact {
+                epoch: 0,
+                cumulative: 0,
+                seen: BTreeSet::new(),
+                capacity: capacity.max(1),
+            }
+        }
+
+        fn observe(&mut self, epoch: u64, seq: u64, low: u64) -> Admit {
+            if epoch < self.epoch {
+                return Admit::Stale;
+            }
+            if epoch > self.epoch {
+                self.epoch = epoch;
+                self.cumulative = low.saturating_sub(1);
+                self.seen.clear();
+            } else if low.saturating_sub(1) > self.cumulative {
+                self.cumulative = low - 1;
+                self.seen = match self.cumulative.checked_add(1) {
+                    Some(next) => self.seen.split_off(&next),
+                    None => BTreeSet::new(),
+                };
+                self.compact();
+            }
+            if seq <= self.cumulative || self.seen.contains(&seq) {
+                return Admit::Duplicate;
+            }
+            self.seen.insert(seq);
+            self.compact();
+            if self.seen.len() > self.capacity {
+                if let Some(&lowest) = self.seen.iter().next() {
+                    self.cumulative = lowest;
+                    self.seen.remove(&lowest);
+                    self.compact();
+                }
+            }
+            Admit::Fresh
+        }
+
+        fn compact(&mut self) {
+            while self.cumulative < u64::MAX && self.seen.remove(&(self.cumulative + 1)) {
+                self.cumulative += 1;
+            }
+        }
+    }
+
+    /// How the next frame of a stream relates to the one before it.
+    #[derive(Debug, Clone)]
+    enum Frame {
+        /// The next seq, in order.
+        Next,
+        /// Skips ahead, leaving a gap.
+        Gap(u64),
+        /// Goes back: a duplicate or a gap being filled.
+        Back(u64),
+        /// A new sender epoch, with its watermark this far below seq.
+        NewEpoch(u64),
+        /// A frame from the previous epoch.
+        StaleEpoch,
+        /// The watermark jumps to this far below the next seq.
+        Jump(u64),
+        /// Any `(epoch, seq, low)` in a small range.
+        Raw(u64, u64, u64),
+    }
+
+    fn arb_frame() -> impl Strategy<Value = Frame> {
+        prop_oneof![
+            8 => Just(Frame::Next),
+            2 => (0u64..6).prop_map(Frame::Gap),
+            3 => (0u64..10).prop_map(Frame::Back),
+            1 => (0u64..6).prop_map(Frame::NewEpoch),
+            1 => Just(Frame::StaleEpoch),
+            1 => (0u64..8).prop_map(Frame::Jump),
+            1 => (0u64..4, 0u64..24, 0u64..24).prop_map(|(e, s, l)| Frame::Raw(e, s, l)),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn in_order_frames_skip_the_set_with_the_same_verdicts(
+            near_max in any::<bool>(),
+            capacity in 1usize..6,
+            frames in prop::collection::vec(arb_frame(), 1..200),
+        ) {
+            let mut window = DedupWindow::new(capacity);
+            let mut reference = InsertThenCompact::new(capacity);
+            let (mut epoch, mut seq, mut low) = (1u64, 0u64, 1u64);
+            if near_max {
+                (seq, low) = (u64::MAX - 40, u64::MAX - 40);
+            }
+            for frame in frames {
+                let mut frame_epoch = epoch;
+                match frame {
+                    Frame::Next => seq = seq.saturating_add(1),
+                    Frame::Gap(k) => seq = seq.saturating_add(k + 2),
+                    Frame::Back(k) => seq = seq.saturating_sub(k),
+                    Frame::NewEpoch(k) => {
+                        epoch += 1;
+                        frame_epoch = epoch;
+                        seq = seq.saturating_add(1);
+                        low = seq.saturating_sub(k);
+                    }
+                    Frame::StaleEpoch => frame_epoch = epoch.saturating_sub(1),
+                    Frame::Jump(k) => {
+                        seq = seq.saturating_add(1);
+                        low = seq.saturating_add(1).saturating_sub(k);
+                    }
+                    Frame::Raw(e, s, l) => {
+                        frame_epoch = e;
+                        seq = s;
+                        low = l;
+                    }
+                }
+                prop_assert_eq!(
+                    window.observe(frame_epoch, seq, low),
+                    reference.observe(frame_epoch, seq, low),
+                    "verdict on ({}, {}, {})", frame_epoch, seq, low
+                );
+                prop_assert_eq!(window.ack_value(), (reference.epoch, reference.cumulative));
+            }
+        }
     }
 
     #[test]

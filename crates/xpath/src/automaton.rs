@@ -36,10 +36,22 @@
 //!
 //! States are `u32` ids into one dense `Vec`; per-state name edges are
 //! a sorted vec probed by binary search, promoted to a `HashMap` above
-//! a fan-out threshold. The traversal keeps an active-state set per
-//! path position, deduplicated with generation-stamped marks held in
-//! thread-local scratch (the automaton itself stays `Sync`, so several
-//! threads can match against the same instance).
+//! a fan-out threshold. A traversal builds one active-state set per
+//! path position, deduplicated with generation-stamped marks.
+//!
+//! The paths of one document share prefixes, so the traversal keeps a
+//! *run stack* (YFilter's document stack, fed by consecutive paths):
+//! per consumed position the element and its attributes, the active
+//! set reached and the tokens accepted there. The next path resumes at
+//! the longest prefix it shares with that record, names and attributes
+//! compared exactly, replays the prefix's tokens level by level and
+//! matches only the positions after it — the same tokens, in the same
+//! order, as a traversal from the root. Each level takes a fresh stamp
+//! and an accept mark counts only while its level is live with that
+//! stamp, so every token is still reported once per path. The stack
+//! is scratch the automaton owns: every mutation clears it in O(1),
+//! it retains at most a fixed number of levels and bytes however long
+//! a path is, and it makes the automaton `Send` but not `Sync`.
 //!
 //! # Churn
 //!
@@ -53,18 +65,27 @@
 //! removal, with the rebuild visible in [`NfaStats`].
 
 use crate::ast::{Axis, NodeTest, Predicate, Xpe};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Name-edge fan-out at which a state's sorted edge vec is promoted to
 /// a hash map (binary search loses to hashing around this size, and
 /// high-fan-out states sit on every traversal's hot path).
 const HASH_FANOUT: usize = 16;
 
-/// Scratch sets retained per thread before the pool is cleared
-/// (bounds memory when many short-lived automatons share a thread).
-const SCRATCH_POOL_CAP: usize = 8;
+/// Levels the run stack retains: the root's closure and one level per
+/// consumed element. Positions deeper than this are matched on rolling
+/// buffers and never resumed at (the paper's documents are at most 10
+/// deep).
+const RETAINED_LEVELS: usize = 32;
+
+/// Bytes of element names and attributes the run stack retains (an
+/// attribute costs its key and value plus one). A level that does not
+/// fit ends the record, as the level cap does.
+const RETAINED_TEXT: usize = 4096;
+
+/// The attribute list of an element that carries none.
+const NO_ATTRS: &[(String, String)] = &[];
 
 /// Interned element name.
 type NameId = u32;
@@ -212,13 +233,11 @@ pub struct PathAutomaton {
     /// Steps stranded by removals (numerator of the trigger).
     tombstone_steps: usize,
     compactions: u64,
-    /// Bumped on every mutation; stale thread-local marks from an
-    /// earlier shape of this automaton are discarded on mismatch.
-    version: u64,
-    /// Process-unique instance id keying the thread-local scratch.
-    instance: u64,
-    transitions: AtomicU64,
-    peak_active: AtomicU64,
+    /// The run stack and marks of the last traversal; every mutation
+    /// clears it. Owning it makes the automaton `Send` but not `Sync`.
+    scratch: RefCell<Scratch>,
+    transitions: Cell<u64>,
+    peak_active: Cell<u64>,
 }
 
 impl Default for PathAutomaton {
@@ -236,20 +255,11 @@ impl Clone for PathAutomaton {
             live_steps: self.live_steps,
             tombstone_steps: self.tombstone_steps,
             compactions: self.compactions,
-            version: self.version,
-            // A clone is a distinct instance: it must not share scratch
-            // marks with its source.
-            instance: next_instance(),
-            transitions: AtomicU64::new(self.transitions.load(Ordering::Relaxed)),
-            peak_active: AtomicU64::new(self.peak_active.load(Ordering::Relaxed)),
+            scratch: RefCell::default(),
+            transitions: self.transitions.clone(),
+            peak_active: self.peak_active.clone(),
         }
     }
-}
-
-/// Allocates a process-unique automaton instance id.
-fn next_instance() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl PathAutomaton {
@@ -262,10 +272,9 @@ impl PathAutomaton {
             live_steps: 0,
             tombstone_steps: 0,
             compactions: 0,
-            version: 0,
-            instance: next_instance(),
-            transitions: AtomicU64::new(0),
-            peak_active: AtomicU64::new(0),
+            scratch: RefCell::default(),
+            transitions: Cell::new(0),
+            peak_active: Cell::new(0),
         }
     }
 
@@ -284,8 +293,8 @@ impl PathAutomaton {
         NfaStats {
             states: self.states.len(),
             live_subs: self.entries.len(),
-            transitions_total: self.transitions.load(Ordering::Relaxed),
-            peak_active_states: self.peak_active.load(Ordering::Relaxed),
+            transitions_total: self.transitions.get(),
+            peak_active_states: self.peak_active.get(),
             compactions_total: self.compactions,
             tombstone_steps: self.tombstone_steps,
         }
@@ -298,7 +307,7 @@ impl PathAutomaton {
         if self.entries.contains_key(&token) {
             self.remove(token);
         }
-        self.version = self.version.wrapping_add(1);
+        self.scratch.get_mut().clear();
         let entry = self.thread_token(token, xpe);
         self.entries.insert(token, entry);
     }
@@ -322,7 +331,7 @@ impl PathAutomaton {
         let Some(entry) = self.entries.remove(&token) else {
             return false;
         };
-        self.version = self.version.wrapping_add(1);
+        self.scratch.get_mut().clear();
         if let Some(st) = self.states.get_mut(entry.state as usize) {
             if let Some(i) = st.accepts.iter().position(|&t| t == token) {
                 st.accepts.swap_remove(i);
@@ -347,7 +356,7 @@ impl PathAutomaton {
     /// entries are re-threaded in token order, so two automatons
     /// holding the same set compact to the same shape.
     pub fn compact<'x>(&mut self, lookup: impl Fn(u64) -> Option<&'x Xpe>) {
-        self.version = self.version.wrapping_add(1);
+        self.scratch.get_mut().clear();
         self.compactions += 1;
         self.names.clear();
         self.states.clear();
@@ -367,7 +376,9 @@ impl PathAutomaton {
     /// Calls `f` with the token of every registered expression matching
     /// the root-to-leaf `path` (with per-element `attrs`, aligned like
     /// [`crate::matching::matches_path_with_attrs`]) — one traversal
-    /// for the whole set; each token reported at most once.
+    /// for the whole set; each token reported at most once. The
+    /// traversal resumes at the prefix `path` shares with the previous
+    /// path (see the module docs).
     pub fn for_each_match<S: AsRef<str>>(
         &self,
         path: &[S],
@@ -377,110 +388,101 @@ impl PathAutomaton {
         if path.is_empty() || self.entries.is_empty() {
             return;
         }
-        let mut scratch = take_scratch(self.instance);
-        scratch.ensure(self.version, self.states.len());
-        self.traverse(&mut scratch, path, attrs, f);
-        put_scratch(scratch);
+        match self.scratch.try_borrow_mut() {
+            Ok(mut run) => self.traverse(&mut run, path, attrs, f),
+            // A visitor matching on this automaton again: the outer
+            // traversal holds the run stack, so this one starts at the
+            // root on scratch of its own.
+            Err(_) => self.traverse(&mut Scratch::default(), path, attrs, f),
+        }
     }
 
-    /// The traversal proper, on checked-out scratch.
+    /// The traversal proper: truncates `run` to the prefix it shares
+    /// with `path`, replays that prefix's tokens, then matches the
+    /// remaining positions and records them for the next path.
     fn traverse<S: AsRef<str>>(
         &self,
-        scratch: &mut Scratch,
+        run: &mut Scratch,
         path: &[S],
         attrs: &[Vec<(String, String)>],
         f: &mut dyn FnMut(u64),
     ) {
-        const NO_ATTRS: &[(String, String)] = &[];
-        // Generation stamps: `start + pos` dedups the active set built
-        // for position `pos`; `start` itself stamps accept reporting
-        // (once per token per traversal). u64 generations never wrap in
-        // practice, so marks are reset only when the automaton mutates.
-        let start = scratch.generation + 1;
-        scratch.generation = start + path.len() as u64;
+        if run.busy {
+            // A visitor panicked mid-traversal: the record is partial.
+            run.clear();
+        }
+        run.busy = true;
+        run.grow_marks(self.states.len());
+        let shared = run.resume(path, attrs);
+        for &token in &run.tokens {
+            f(token);
+        }
+        if run.levels.is_empty() {
+            // Level 0: the root's closure, before any element.
+            let at = run.open_level("", NO_ATTRS);
+            self.sink(run, at).activate(ROOT, f);
+            run.close_level(at);
+        }
+        run.load_top();
         let mut transitions = 0u64;
         let mut peak = 0u64;
-        scratch.current.clear();
-        activate(
-            &self.states,
-            ROOT,
-            start,
-            start,
-            &mut scratch.state_mark,
-            &mut scratch.accept_mark,
-            &mut scratch.current,
-            f,
-        );
-        for (pos, elem) in path.iter().enumerate() {
+        for (pos, elem) in path.iter().enumerate().skip(shared) {
+            if run.current.is_empty() {
+                break;
+            }
             let elem = elem.as_ref();
-            let name_id = self.names.get(elem).copied();
             let attrs_here = attrs.get(pos).map_or(NO_ATTRS, Vec::as_slice);
-            let next_stamp = start + pos as u64 + 1;
-            scratch.next.clear();
-            for &sid in &scratch.current {
+            let name_id = self.names.get(elem).copied();
+            let at = run.open_level(elem, attrs_here);
+            let current = std::mem::take(&mut run.current);
+            let mut sink = self.sink(run, at);
+            for &sid in &current {
                 let Some(st) = self.states.get(sid as usize) else {
                     continue;
                 };
                 if st.self_loop {
                     // Stays active at the next position; its accepts
                     // (if any) were reported on first activation.
-                    if let Some(m) = scratch.state_mark.get_mut(sid as usize) {
-                        if *m != next_stamp {
-                            *m = next_stamp;
-                            scratch.next.push(sid);
-                        }
-                    }
+                    sink.mark(sid);
                 }
                 if let Some(target) = name_id.and_then(|n| st.names.lookup(n)) {
                     transitions += 1;
-                    activate(
-                        &self.states,
-                        target,
-                        next_stamp,
-                        start,
-                        &mut scratch.state_mark,
-                        &mut scratch.accept_mark,
-                        &mut scratch.next,
-                        f,
-                    );
+                    sink.activate(target, f);
                 }
                 if let Some(target) = st.wildcard {
                     transitions += 1;
-                    activate(
-                        &self.states,
-                        target,
-                        next_stamp,
-                        start,
-                        &mut scratch.state_mark,
-                        &mut scratch.accept_mark,
-                        &mut scratch.next,
-                        f,
-                    );
+                    sink.activate(target, f);
                 }
                 for pe in &st.preds {
                     if pe.test.accepts(elem) && pe.predicates.iter().all(|p| p.eval(attrs_here)) {
                         transitions += 1;
-                        activate(
-                            &self.states,
-                            pe.target,
-                            next_stamp,
-                            start,
-                            &mut scratch.state_mark,
-                            &mut scratch.accept_mark,
-                            &mut scratch.next,
-                            f,
-                        );
+                        sink.activate(pe.target, f);
                     }
                 }
             }
-            std::mem::swap(&mut scratch.current, &mut scratch.next);
-            peak = peak.max(scratch.current.len() as u64);
-            if scratch.current.is_empty() {
-                break;
-            }
+            run.current = current;
+            run.close_level(at);
+            std::mem::swap(&mut run.current, &mut run.next);
+            peak = peak.max(run.current.len() as u64);
         }
-        self.transitions.fetch_add(transitions, Ordering::Relaxed);
-        self.peak_active.fetch_max(peak, Ordering::Relaxed);
+        run.finish();
+        self.transitions.set(self.transitions.get() + transitions);
+        self.peak_active.set(self.peak_active.get().max(peak));
+    }
+
+    /// Where the level `at` opened on `run` activates states: into an
+    /// emptied `run.next`.
+    fn sink<'s>(&'s self, run: &'s mut Scratch, at: At) -> Sink<'s> {
+        run.next.clear();
+        Sink {
+            states: &self.states,
+            at,
+            levels: &run.levels,
+            state_mark: &mut run.state_mark,
+            accept_mark: &mut run.accept_mark,
+            set: &mut run.next,
+            tokens: at.record.then_some(&mut run.tokens),
+        }
     }
 
     /// Threads `xpe` and accepts `token` at its end state.
@@ -607,115 +609,296 @@ fn anchored(xpe: &Xpe) -> bool {
     xpe.is_absolute() && xpe.steps().first().is_some_and(|s| s.axis == Axis::Child)
 }
 
-/// Activates `target` into the set stamped `stamp`: dedups via the
-/// state marks, reports accepting tokens once per traversal (the
-/// `accept_stamp` marks), and follows the slash ε-closure.
-#[allow(clippy::too_many_arguments)]
-fn activate(
-    states: &[State],
-    target: StateId,
+/// The level a traversal is building, as [`Scratch::open_level`]
+/// opened it.
+#[derive(Debug, Clone, Copy)]
+struct At {
+    /// Fresh stamp of the set being built.
     stamp: u64,
-    accept_stamp: u64,
-    state_mark: &mut [u64],
-    accept_mark: &mut [u64],
-    set: &mut Vec<StateId>,
-    f: &mut dyn FnMut(u64),
-) {
-    let mut t = target;
-    loop {
-        let Some(m) = state_mark.get_mut(t as usize) else {
-            return;
-        };
-        if *m == stamp {
-            return;
+    /// The `(level, stamp)` mark for tokens reported here: this level,
+    /// or past the record, the overflow level every deeper position
+    /// shares.
+    accept: (u32, u64),
+    /// Whether the level is recorded for the next path to resume at.
+    record: bool,
+}
+
+/// Where one level's activations go: the set being built, the marks,
+/// and the level's token record.
+struct Sink<'s> {
+    states: &'s [State],
+    at: At,
+    /// The live levels, telling a mark of this path from a stale one.
+    levels: &'s [Level],
+    state_mark: &'s mut [u64],
+    accept_mark: &'s mut [(u32, u64)],
+    set: &'s mut Vec<StateId>,
+    /// The tokens the live levels reported, unless this level is not
+    /// recorded.
+    tokens: Option<&'s mut Vec<u64>>,
+}
+
+impl Sink<'_> {
+    /// Adds `state` to the set unless it is there already; true if
+    /// added.
+    fn mark(&mut self, state: StateId) -> bool {
+        match self.state_mark.get_mut(state as usize) {
+            Some(m) if *m != self.at.stamp => {
+                *m = self.at.stamp;
+                self.set.push(state);
+                true
+            }
+            _ => false,
         }
-        *m = stamp;
-        set.push(t);
-        let Some(st) = states.get(t as usize) else {
-            return;
-        };
-        if !st.accepts.is_empty() {
-            if let Some(am) = accept_mark.get_mut(t as usize) {
-                if *am != accept_stamp {
-                    *am = accept_stamp;
-                    for &token in &st.accepts {
-                        f(token);
+    }
+
+    /// Activates `target` and its slash ε-closure, reporting accepting
+    /// tokens the path has not reported yet: a state's accept mark
+    /// counts only while its level is live with the same stamp.
+    fn activate(&mut self, target: StateId, f: &mut dyn FnMut(u64)) {
+        let mut t = target;
+        loop {
+            if !self.mark(t) {
+                return;
+            }
+            let Some(st) = self.states.get(t as usize) else {
+                return;
+            };
+            if !st.accepts.is_empty() {
+                if let Some(am) = self.accept_mark.get_mut(t as usize) {
+                    let (level, stamp) = *am;
+                    let reported = self
+                        .levels
+                        .get(level as usize)
+                        .is_some_and(|l| l.stamp == stamp);
+                    if !reported {
+                        *am = self.at.accept;
+                        for &token in &st.accepts {
+                            f(token);
+                        }
+                        if let Some(tokens) = self.tokens.as_deref_mut() {
+                            tokens.extend_from_slice(&st.accepts);
+                        }
                     }
                 }
             }
-        }
-        // ε-closure: activating a state activates its slash state.
-        match st.eps_slash {
-            Some(next) => t = next,
-            None => return,
+            // ε-closure: activating a state activates its slash state.
+            match st.eps_slash {
+                Some(next) => t = next,
+                None => return,
+            }
         }
     }
 }
 
-/// Per-thread traversal scratch for one automaton instance.
+/// One level of the run stack: the active set after some number of
+/// path elements, with the element that led to it. Its text, set and
+/// tokens start where the previous level's end.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    /// Fresh per level; marks made under it count while it is live.
+    stamp: u64,
+    /// Where the element name ends in [`Scratch::text`].
+    name_end: usize,
+    /// Where its attributes end in [`Scratch::attrs`].
+    attrs_end: usize,
+    /// Where its text ends: the name, then each attribute's key and
+    /// value.
+    text_end: usize,
+    /// Where its active set ends in [`Scratch::sets`].
+    sets_end: usize,
+    /// Where the tokens it reported end in [`Scratch::tokens`].
+    tokens_end: usize,
+}
+
+/// Traversal scratch owned by one automaton: the run stack of the last
+/// path and the marks. See the module docs.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Which automaton these marks belong to.
-    owner: u64,
-    /// The automaton version the marks were last valid for.
-    version: u64,
+    /// Last stamp handed out. Never reset, so no stale mark can equal
+    /// a fresh stamp, even after `compact` reuses state ids.
     generation: u64,
+    /// Per state: the stamp of the last set it joined.
     state_mark: Vec<u64>,
-    accept_mark: Vec<u64>,
+    /// Per state: the `(level, stamp)` its tokens were last reported at.
+    accept_mark: Vec<(u32, u64)>,
+    /// The run stack: level `i` is the active set after `i` elements.
+    /// While the path outgrows the record, the top level is the
+    /// overflow level, which records nothing.
+    levels: Vec<Level>,
+    /// Element names and attribute keys and values, back to back.
+    text: String,
+    /// Per recorded attribute: where its key and its value end in
+    /// `text`.
+    attrs: Vec<(usize, usize)>,
+    /// Active sets of the levels, back to back.
+    sets: Vec<StateId>,
+    /// Tokens the levels reported, back to back.
+    tokens: Vec<u64>,
+    /// The set being expanded and the set being built.
     current: Vec<StateId>,
     next: Vec<StateId>,
+    /// The top level is the overflow level.
+    overflow: bool,
+    /// A traversal is under way (left set if a visitor panicked).
+    busy: bool,
 }
 
 impl Scratch {
-    fn for_owner(owner: u64) -> Self {
-        Scratch {
-            owner,
-            ..Scratch::default()
-        }
+    /// Empties the run stack (O(1): every buffer holds plain data).
+    fn clear(&mut self) {
+        self.levels.clear();
+        self.text.clear();
+        self.attrs.clear();
+        self.sets.clear();
+        self.tokens.clear();
+        self.overflow = false;
+        self.busy = false;
     }
 
-    /// Revalidates the marks for the automaton's current shape: on a
-    /// version change or growth, stale stamps are discarded.
-    fn ensure(&mut self, version: u64, states: usize) {
-        if self.version != version || self.state_mark.len() < states {
-            self.state_mark.clear();
+    /// Extends the marks to `states` entries; they never shrink, so a
+    /// rebuilt automaton reuses them.
+    fn grow_marks(&mut self, states: usize) {
+        if self.state_mark.len() < states {
             self.state_mark.resize(states, 0);
-            self.accept_mark.clear();
-            self.accept_mark.resize(states, 0);
-            self.generation = 0;
-            self.version = version;
+            self.accept_mark.resize(states, (0, 0));
         }
     }
-}
 
-thread_local! {
-    /// Scratch checked out by owner id for the duration of a traversal
-    /// (checked out, not borrowed, so a match visitor that re-enters
-    /// the automaton simply gets fresh scratch instead of a borrow
-    /// panic).
-    static SCRATCH: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
-}
-
-fn take_scratch(owner: u64) -> Scratch {
-    SCRATCH.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        match pool.iter().position(|s| s.owner == owner) {
-            Some(i) => pool.swap_remove(i),
-            None => Scratch::for_owner(owner),
+    /// Truncates the stack to the root level plus the longest prefix of
+    /// `path` it recorded with equal names and attributes, and returns
+    /// that prefix's length.
+    fn resume<S: AsRef<str>>(&mut self, path: &[S], attrs: &[Vec<(String, String)>]) -> usize {
+        let Some(&root) = self.levels.first() else {
+            return 0;
+        };
+        let mut prev = root;
+        let mut shared = 0;
+        for (level, elem) in self.levels.iter().skip(1).zip(path) {
+            let attrs_here = attrs.get(shared).map_or(NO_ATTRS, Vec::as_slice);
+            if !self.recorded(&prev, level, elem.as_ref(), attrs_here) {
+                break;
+            }
+            prev = *level;
+            shared += 1;
         }
-    })
-}
+        self.levels.truncate(shared + 1);
+        self.text.truncate(prev.text_end);
+        self.attrs.truncate(prev.attrs_end);
+        self.sets.truncate(prev.sets_end);
+        self.tokens.truncate(prev.tokens_end);
+        shared
+    }
 
-fn put_scratch(scratch: Scratch) {
-    SCRATCH.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() >= SCRATCH_POOL_CAP {
-            // Many automatons on one thread: drop the retained sets
-            // rather than growing without bound.
-            pool.clear();
+    /// True if `level`, recorded after `prev`, consumed `elem` carrying
+    /// exactly `attrs`.
+    fn recorded(
+        &self,
+        prev: &Level,
+        level: &Level,
+        elem: &str,
+        attrs: &[(String, String)],
+    ) -> bool {
+        if self.text.get(prev.text_end..level.name_end) != Some(elem) {
+            return false;
         }
-        pool.push(scratch);
-    });
+        let Some(ends) = self.attrs.get(prev.attrs_end..level.attrs_end) else {
+            return false;
+        };
+        let mut at = level.name_end;
+        ends.len() == attrs.len()
+            && ends
+                .iter()
+                .zip(attrs)
+                .all(|(&(key_end, value_end), (k, v))| {
+                    let same = self.text.get(at..key_end) == Some(k.as_str())
+                        && self.text.get(key_end..value_end) == Some(v.as_str());
+                    at = value_end;
+                    same
+                })
+    }
+
+    /// Opens the next level for `elem` with `attrs`, recording it if the
+    /// record has room; otherwise the overflow level reports for it.
+    fn open_level(&mut self, elem: &str, attrs: &[(String, String)]) -> At {
+        self.generation += 1;
+        let stamp = self.generation;
+        if self.overflow {
+            let top = self.levels.len().saturating_sub(1);
+            let accept = self.levels.last().map_or(stamp, |l| l.stamp);
+            return At {
+                stamp,
+                accept: (top as u32, accept),
+                record: false,
+            };
+        }
+        let cost = elem.len()
+            + attrs
+                .iter()
+                .map(|(k, v)| 1 + k.len() + v.len())
+                .sum::<usize>();
+        let record = self.levels.len() < RETAINED_LEVELS && self.text.len() + cost <= RETAINED_TEXT;
+        let name_end = if record {
+            self.text.push_str(elem);
+            let name_end = self.text.len();
+            for (k, v) in attrs {
+                self.text.push_str(k);
+                let key_end = self.text.len();
+                self.text.push_str(v);
+                self.attrs.push((key_end, self.text.len()));
+            }
+            name_end
+        } else {
+            self.text.len()
+        };
+        self.overflow = !record;
+        self.levels.push(Level {
+            stamp,
+            name_end,
+            attrs_end: self.attrs.len(),
+            text_end: self.text.len(),
+            sets_end: self.sets.len(),
+            tokens_end: self.tokens.len(),
+        });
+        At {
+            stamp,
+            accept: ((self.levels.len() - 1) as u32, stamp),
+            record,
+        }
+    }
+
+    /// Records the set just built (`next`) and its tokens on level `at`.
+    fn close_level(&mut self, at: At) {
+        if !at.record {
+            return;
+        }
+        self.sets.extend_from_slice(&self.next);
+        if let Some(top) = self.levels.last_mut() {
+            top.sets_end = self.sets.len();
+            top.tokens_end = self.tokens.len();
+        }
+    }
+
+    /// Loads the top level's active set into `current`.
+    fn load_top(&mut self) {
+        let mut ends = self.levels.iter().rev().map(|l| l.sets_end);
+        let end = ends.next().unwrap_or(0);
+        let start = ends.next().unwrap_or(0);
+        self.current.clear();
+        if let Some(set) = self.sets.get(start..end) {
+            self.current.extend_from_slice(set);
+        }
+    }
+
+    /// Ends a traversal: drops the overflow level, whose positions no
+    /// path resumes at.
+    fn finish(&mut self) {
+        if self.overflow {
+            self.levels.pop();
+            self.overflow = false;
+        }
+        self.busy = false;
+    }
 }
 
 #[cfg(test)]
@@ -955,6 +1138,114 @@ mod tests {
         nfa.remove(1);
         assert!(matches(&nfa, &["a", "b"]).is_empty());
         assert_eq!(matches(&copy, &["a", "b"]), [1]);
+    }
+
+    fn attr(k: &str, v: &str) -> Vec<(String, String)> {
+        vec![(k.to_string(), v.to_string())]
+    }
+
+    #[test]
+    fn resumed_prefix_is_not_traversed_again() {
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(1, &xpe("/a/b/c"));
+        nfa.insert(2, &xpe("/a/b/d"));
+        let _ = matches(&nfa, &["a", "b", "c"]);
+        let first = nfa.stats().transitions_total;
+        assert_eq!(matches(&nfa, &["a", "b", "d"]), [2]);
+        let second = nfa.stats().transitions_total - first;
+        assert_eq!((first, second), (3, 1), "only the last step is new");
+    }
+
+    #[test]
+    fn mutation_between_prefix_sharing_paths() {
+        let owned = [xpe("/a/b/c"), xpe("/a/b"), xpe("//b")];
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(0, &owned[0]);
+        assert_eq!(matches(&nfa, &["a", "b", "c"]), [0]);
+        // Accepts inside the prefix the next path shares.
+        nfa.insert(1, &owned[1]);
+        assert_eq!(matches(&nfa, &["a", "b", "d"]), [1]);
+        nfa.insert(2, &owned[2]);
+        assert_eq!(matches(&nfa, &["a", "b", "c"]), [0, 1, 2]);
+        nfa.remove(1);
+        assert_eq!(matches(&nfa, &["a", "b", "d"]), [2]);
+        // Compaction renumbers states under the recorded sets.
+        nfa.compact(|t| owned.get(t as usize));
+        assert_eq!(matches(&nfa, &["a", "b", "c"]), [0, 2]);
+        nfa.insert(1, &owned[1]);
+        assert_eq!(matches(&nfa, &["a", "b", "c"]), [0, 1, 2]);
+    }
+
+    #[test]
+    fn attributes_at_a_shared_position_end_the_prefix() {
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(1, &xpe("/a[@k='v']/b"));
+        nfa.insert(2, &xpe("/a/b"));
+        let kv = [attr("k", "v")];
+        let kw = [attr("k", "w")];
+        assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &kv), [1, 2]);
+        assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &kw), [2]);
+        assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &kv), [1, 2]);
+        // A missing attribute list counts as empty.
+        assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &[]), [2]);
+        assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &[vec![]]), [2]);
+        assert_eq!(matches_with_attrs(&nfa, &["a", "b"], &kv), [1, 2]);
+    }
+
+    #[test]
+    fn names_never_interned_end_the_prefix() {
+        // A predicated name test is not interned, so `yy` and `zz`
+        // both have no id; only the strings tell them apart.
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(1, &xpe("/yy[@k]/b"));
+        let k = vec![attr("k", "1")];
+        assert!(matches_with_attrs(&nfa, &["zz", "b"], &k).is_empty());
+        assert_eq!(matches_with_attrs(&nfa, &["yy", "b"], &k), [1]);
+        assert!(matches_with_attrs(&nfa, &["zz", "b"], &k).is_empty());
+    }
+
+    #[test]
+    fn visitor_matching_again_gets_fresh_scratch() {
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(1, &xpe("/a/b"));
+        nfa.insert(2, &xpe("//b"));
+        let _ = matches(&nfa, &["a", "c"]);
+        let mut outer = Vec::new();
+        nfa.for_each_match(&["a", "b"], &[], &mut |t| {
+            outer.push(t);
+            assert_eq!(matches(&nfa, &["a", "b"]), [1, 2]);
+            assert!(matches(&nfa, &["x", "y"]).is_empty());
+        });
+        outer.sort_unstable();
+        assert_eq!(outer, [1, 2]);
+        assert_eq!(matches(&nfa, &["a", "b"]), [1, 2]);
+    }
+
+    #[test]
+    fn long_paths_leave_the_retained_scratch_within_the_cap() {
+        let mut nfa = PathAutomaton::new();
+        nfa.insert(1, &xpe("/e"));
+        nfa.insert(2, &xpe("//e/e/e"));
+        nfa.insert(3, &xpe("//f"));
+        let n = if cfg!(miri) { 1_000 } else { 100_000 };
+        let mut path = vec!["e"; n];
+        assert_eq!(matches(&nfa, &path), [1, 2]);
+        path.push("f");
+        assert_eq!(matches(&nfa, &path), [1, 2, 3], "resumed past the record");
+        // The overflow level ends with its traversal: an element with
+        // an empty name right after the record does not resume at it.
+        let mut edge = vec!["e"; RETAINED_LEVELS - 1];
+        edge.extend(["", "f"]);
+        assert_eq!(matches(&nfa, &edge), [1, 2, 3]);
+        let long_name = "n".repeat(2 * RETAINED_TEXT);
+        assert_eq!(matches(&nfa, &["e", &long_name, "f"]), [1, 3]);
+        let run = nfa.scratch.borrow();
+        assert!(run.levels.len() <= RETAINED_LEVELS);
+        assert!(run.text.capacity() <= 2 * RETAINED_TEXT);
+        assert!(run.levels.capacity() <= 2 * RETAINED_LEVELS);
+        assert!(run.sets.len() <= RETAINED_LEVELS * nfa.states.len());
+        assert!(run.current.capacity() <= 2 * nfa.states.len());
+        assert!(run.next.capacity() <= 2 * nfa.states.len());
     }
 
     /// Exhaustive-ish differential check against the reference matcher

@@ -16,7 +16,9 @@
 //!   XML path satisfies a subscription,
 //! * the shared subscription automaton ([`automaton::PathAutomaton`]) —
 //!   every registered XPE compiled into one NFA so a publication is
-//!   matched against the whole set in a single traversal,
+//!   matched against the whole set in a single traversal, which
+//!   resumes at the prefix a path shares with the previous one (the
+//!   paths of one document share prefixes),
 //! * a DTD-guided random XPE generator ([`generate`]) standing in for
 //!   the XPath generator of Diao et al. used in the paper's evaluation,
 //!   parameterized by the wildcard probability `W` and the
