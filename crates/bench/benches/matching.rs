@@ -1,7 +1,15 @@
-//! Flat linear scan vs the shared-NFA `AutomatonPrt`, at growing
-//! subscription counts, over the NITF `set_a` workload (Table 1's
-//! setting). Self-timed with `Instant`; the results are written to
-//! `BENCH_matching.json` at the workspace root.
+//! Two self-timed comparisons, written to `BENCH_matching.json` at the
+//! workspace root:
+//!
+//! * **publications**: flat linear scan vs the shared-NFA
+//!   `AutomatonPrt`, at growing subscription counts, over the NITF
+//!   `set_a` workload (Table 1's setting);
+//! * **advertisements**: choosing where a subscription goes, as a scan
+//!   of `PreparedAdv`s (each advertisement's repetitions pre-expanded
+//!   for subscriptions of up to 16 steps) vs `Srt::match_sub` (one
+//!   automaton search per last hop), over the NITF and PSD
+//!   advertisement sets on one and three hops, with Set A and Set B
+//!   subscriptions.
 //!
 //! Publication paths are visited twice: in document order, where the
 //! automaton resumes each path at the prefix it shares with the one
@@ -13,19 +21,28 @@
 //! `crates/core/tests/automaton_props.rs` and
 //! `crates/xpath/tests/run_stack_props.rs`).
 //!
+//! Before timing, the advertisement section asserts that the scan and
+//! `Srt::match_sub` pick the same hops for every subscription (the
+//! table's exactness is additionally tested against
+//! `adv_overlaps_sub` in `crates/core/tests/srt_match.rs`).
+//!
 //! Environment knobs (for CI smoke runs):
 //! * `XDN_BENCH_SUBS` — comma-separated subscription counts
 //!   (default `1000,10000,50000`);
-//! * `XDN_BENCH_ITERS` — timed passes over the publication set
-//!   (default `3`).
+//! * `XDN_BENCH_ITERS` — timed passes over the publication set and the
+//!   subscriptions (default `3`).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 use std::time::Instant;
 use xdn_bench::SEED;
+use xdn_core::adv::{derive_advertisements, DeriveOptions};
+use xdn_core::advmatch::PreparedAdv;
 use xdn_core::automaton::AutomatonPrt;
-use xdn_core::rtable::{FlatPrt, PublicationRouter, SubId};
-use xdn_workloads::{docs, nitf_dtd, sets};
+use xdn_core::rtable::{AdvId, FlatPrt, PublicationRouter, Srt, SubId};
+use xdn_workloads::{docs, nitf_dtd, psd_dtd, sets};
+use xdn_xpath::Xpe;
 
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matching.json");
 
@@ -52,13 +69,38 @@ fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// One advertisement-section row: a DTD's advertisements spread over
+/// `hops` last hops, one subscription set.
+struct AdvRow {
+    dtd: &'static str,
+    hops: usize,
+    advertisements: usize,
+    states: usize,
+    set: &'static str,
+    xpes: usize,
+    scan_us_per_xpe: f64,
+    automaton_us_per_xpe: f64,
+    forwarded_hops: usize,
+}
+
 fn main() {
-    let levels = env_usize_list("XDN_BENCH_SUBS", &[1_000, 10_000, 50_000]);
     let iters = env_usize("XDN_BENCH_ITERS", 3).max(1);
+    let levels = publication_levels(iters);
+    let adv_rows = advertisement_rows(iters);
+    let json = render_json(&levels, &adv_rows, iters);
+    match std::fs::write(OUT_PATH, &json) {
+        Ok(()) => println!("wrote {OUT_PATH}"),
+        Err(e) => eprintln!("failed to write {OUT_PATH}: {e}"),
+    }
+}
+
+/// The publication section: flat scan vs automaton per level.
+fn publication_levels(iters: usize) -> (Vec<Level>, usize) {
+    let levels = env_usize_list("XDN_BENCH_SUBS", &[1_000, 10_000, 50_000]);
     let max_subs = levels.iter().copied().max().unwrap_or(0);
     if max_subs == 0 {
-        eprintln!("XDN_BENCH_SUBS is empty; nothing to measure");
-        return;
+        eprintln!("XDN_BENCH_SUBS is empty; no publication levels measured");
+        return (Vec::new(), 0);
     }
 
     let dtd = nitf_dtd();
@@ -143,15 +185,99 @@ fn main() {
             matches: flat_matches / iters as u64,
         });
     }
-
-    let json = render_json(&results, paths.len(), iters);
-    match std::fs::write(OUT_PATH, &json) {
-        Ok(()) => println!("wrote {OUT_PATH}"),
-        Err(e) => eprintln!("failed to write {OUT_PATH}: {e}"),
-    }
+    (results, paths.len())
 }
 
-fn render_json(levels: &[Level], paths: usize, iters: usize) -> String {
+/// Subscriptions per set in the advertisement section.
+const ADV_XPES_PER_SET: usize = 150;
+
+/// The advertisement section: for NITF and PSD, on one and three hops
+/// (advertisements dealt round-robin), gates and times the
+/// `PreparedAdv` scan against `Srt::match_sub`.
+fn advertisement_rows(iters: usize) -> Vec<AdvRow> {
+    let mut rows = Vec::new();
+    for (name, dtd) in [("nitf", nitf_dtd()), ("psd", psd_dtd())] {
+        let advs = derive_advertisements(&dtd, &DeriveOptions::default());
+        let sets = [
+            ("A", sets::set_a(&dtd, ADV_XPES_PER_SET, SEED + 40)),
+            ("B", sets::set_b(&dtd, ADV_XPES_PER_SET, SEED + 41)),
+        ];
+        for hops in [1usize, 3] {
+            let mut srt: Srt<usize> = Srt::new();
+            let mut scan: Vec<(PreparedAdv, usize)> = Vec::new();
+            for (i, adv) in advs.iter().enumerate() {
+                srt.insert(AdvId(i as u64), adv.clone(), i % hops);
+                scan.push((PreparedAdv::new(adv.clone(), 16), i % hops));
+            }
+            let scan_hops = |xpe: &Xpe| -> BTreeSet<usize> {
+                scan.iter()
+                    .filter(|(adv, _)| adv.overlaps(xpe))
+                    .map(|&(_, hop)| hop)
+                    .collect()
+            };
+            for (set, xpes) in &sets {
+                // Untimed gate: both must pick the same hops.
+                let mut forwarded_hops = 0;
+                for xpe in xpes {
+                    let want = scan_hops(xpe);
+                    assert_eq!(
+                        srt.match_sub(xpe),
+                        want,
+                        "Srt::match_sub diverges from the PreparedAdv scan on {name} \
+                         ({hops} hops) for {xpe}"
+                    );
+                    forwarded_hops += want.len();
+                }
+                let time = |f: &dyn Fn(&Xpe) -> usize| {
+                    let started = Instant::now();
+                    let mut picked = 0;
+                    for _ in 0..iters {
+                        for xpe in xpes {
+                            picked += f(std::hint::black_box(xpe));
+                        }
+                    }
+                    assert_eq!(picked, forwarded_hops * iters);
+                    started.elapsed().as_secs_f64() * 1e6 / (iters * xpes.len()) as f64
+                };
+                let scan_us = time(&|x| scan_hops(x).len());
+                let automaton_us = time(&|x| srt.match_sub(x).len());
+                println!(
+                    "bench matching/advertisements {name} hops={hops} set={set}: \
+                     scan {scan_us:.2} us/xpe, automaton {automaton_us:.3} us/xpe, \
+                     speedup {:.0}x",
+                    scan_us / automaton_us.max(f64::EPSILON)
+                );
+                rows.push(AdvRow {
+                    dtd: name,
+                    hops,
+                    advertisements: advs.len(),
+                    states: srt.automaton_states(),
+                    set,
+                    xpes: xpes.len(),
+                    scan_us_per_xpe: scan_us,
+                    automaton_us_per_xpe: automaton_us,
+                    forwarded_hops,
+                });
+            }
+        }
+    }
+    for name in ["nitf", "psd"] {
+        let of = |f: fn(&AdvRow) -> f64| -> f64 {
+            let picked: Vec<f64> = rows.iter().filter(|r| r.dtd == name).map(f).collect();
+            picked.iter().sum::<f64>() / picked.len().max(1) as f64
+        };
+        let scan = of(|r| r.scan_us_per_xpe);
+        let automaton = of(|r| r.automaton_us_per_xpe);
+        println!(
+            "bench matching/advertisements {name} mean over sets and hops: \
+             scan {scan:.2} us/xpe, automaton {automaton:.3} us/xpe, speedup {:.0}x",
+            scan / automaton.max(f64::EPSILON)
+        );
+    }
+    rows
+}
+
+fn render_json((levels, paths): &(Vec<Level>, usize), adv_rows: &[AdvRow], iters: usize) -> String {
     let rows: Vec<String> = levels
         .iter()
         .map(|l| {
@@ -169,9 +295,32 @@ fn render_json(levels: &[Level], paths: usize, iters: usize) -> String {
             )
         })
         .collect();
+    let adv: Vec<String> = adv_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"dtd\": \"{}\", \"hops\": {}, \"advertisements\": {}, \
+                 \"automaton_states\": {}, \"set\": \"{}\", \"xpes\": {}, \
+                 \"scan_us_per_xpe\": {:.2}, \"automaton_us_per_xpe\": {:.3}, \
+                 \"speedup\": {:.1}, \"forwarded_hops\": {}}}",
+                r.dtd,
+                r.hops,
+                r.advertisements,
+                r.states,
+                r.set,
+                r.xpes,
+                r.scan_us_per_xpe,
+                r.automaton_us_per_xpe,
+                r.scan_us_per_xpe / r.automaton_us_per_xpe.max(f64::EPSILON),
+                r.forwarded_hops,
+            )
+        })
+        .collect();
     format!(
         "{{\n  \"bench\": \"matching\",\n  \"workload\": \"nitf set_a\",\n  \
-         \"publication_paths\": {paths},\n  \"iters\": {iters},\n  \"levels\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+         \"publication_paths\": {paths},\n  \"iters\": {iters},\n  \"levels\": [\n{}\n  ],\n  \
+         \"advertisements\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
+        adv.join(",\n")
     )
 }

@@ -95,7 +95,7 @@ fn flat_fanout(msg: &Message, peers: usize, epoch: u64, seq0: u64, sink: &mut Nu
 
 /// Encodes the body once, then stamps each peer's header over it.
 fn shared_fanout(msg: &Message, peers: usize, epoch: u64, seq0: u64, sink: &mut NullWriter) {
-    let base = FrameBuf::from_payload(Arc::new(msg.clone()));
+    let base = FrameBuf::from_message(msg.clone());
     for p in 0..peers {
         let framed = base.stamped(SeqHeader {
             epoch,

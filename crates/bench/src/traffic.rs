@@ -175,8 +175,8 @@ mod tests {
             ("no-Adv-with-Cov", [1720, 618, 353, 0, 16]),
             ("with-Adv-no-Cov", [2345, 300, 353, 679, 16]),
             ("with-Adv-with-Cov", [2317, 286, 353, 679, 16]),
-            ("with-Adv-with-CovPM", [2361, 308, 353, 679, 16]),
-            ("with-Adv-with-CovIPM", [2361, 308, 353, 679, 16]),
+            ("with-Adv-with-CovPM", [2357, 306, 353, 679, 16]),
+            ("with-Adv-with-CovIPM", [2357, 306, 353, 679, 16]),
         ];
         for (name, want) in pinned {
             let r = by_name(name);

@@ -623,6 +623,8 @@ impl Broker {
                 // Subscriptions that arrived before this advertisement
                 // were not forwarded toward it; re-evaluate the stored
                 // (top-level) subscriptions so the reverse path exists.
+                // The SRT already holds the advertisement, so its answer
+                // for `from` is exact at any subscription length.
                 if self.config.advertisements && !from.is_client() {
                     for (sid, xpe, hops) in self.prt.forwarded_subs() {
                         let only_from_there = hops.iter().all(|h| *h == from);
@@ -632,7 +634,7 @@ impl Broker {
                             .is_some_and(|dests| dests.contains(&from));
                         if !only_from_there
                             && !already_sent
-                            && xdn_core::advmatch::adv_overlaps_sub(&adv, &xpe)
+                            && self.srt.match_sub(&xpe).contains(&from)
                         {
                             out.push(Outbound::from((from, Message::Subscribe { id: sid, xpe })));
                             self.sent_to.entry(sid).or_default().insert(from);
@@ -670,9 +672,9 @@ impl Broker {
                         sw.elapsed_ns(),
                     ));
                 }
-                // One shared payload for the whole fan-out: every
-                // next-hop frame clones the `Arc`, not the paths.
-                let payload = Arc::new(Message::Publish(p));
+                // One frame for the whole fan-out: every destination's
+                // clone shares the payload and its one encoding.
+                let frame = FrameBuf::from_message(Message::Publish(p));
                 dests
                     .into_iter()
                     .filter(|d| *d != from)
@@ -689,7 +691,7 @@ impl Broker {
                                 ));
                             }
                         }
-                        Outbound::new(d, FrameBuf::from_payload(Arc::clone(&payload)))
+                        Outbound::new(d, frame.clone())
                     })
                     .collect()
             }
@@ -768,24 +770,13 @@ impl Broker {
             .map(|(id, adv, _)| (id, adv.clone()))
             .collect();
         advs.sort_by_key(|(id, _)| id.0);
-        let scope: Vec<&xdn_core::adv::Advertisement> = self
-            .srt
-            .iter()
-            .filter(|(_, _, h)| **h == hop)
-            .map(|(_, adv, _)| adv)
-            .collect();
+        let scoped = self.config.advertisements && self.srt.iter().any(|(_, _, h)| *h == hop);
         let mut subs: Vec<_> = self
             .prt
             .forwarded_subs()
             .into_iter()
             .filter(|(_, _, hops)| hops.iter().all(|h| *h != hop))
-            .filter(|(_, xpe, _)| {
-                !self.config.advertisements
-                    || scope.is_empty()
-                    || scope
-                        .iter()
-                        .any(|adv| xdn_core::advmatch::adv_overlaps_sub(adv, xpe))
-            })
+            .filter(|(_, xpe, _)| !scoped || self.srt.match_sub(xpe).contains(&hop))
             .map(|(id, xpe, _)| (id, xpe))
             .collect();
         subs.sort_by_key(|(id, _)| id.0);
@@ -833,14 +824,14 @@ impl Broker {
             // entirely — the Figure 8 effect.
             let targets = self.sub_targets(&xpe, Some(from));
             for rid in &outcome.retract {
-                // The covered subscription's targets are a subset of
-                // the new subscription's (covering implies overlap
-                // containment over the same SRT), so retracting along
-                // the new targets reaches every broker that stores it.
-                for t in &targets {
+                // The new subscription stands in for the covered one
+                // wherever both were sent. Elsewhere the covered id is
+                // not this broker's to retract: toward its own origin
+                // it names the origin's subscription.
+                let sent = self.sent_to.remove(rid).unwrap_or_default();
+                for t in targets.iter().filter(|t| sent.contains(t)) {
                     out.push((*t, Message::Unsubscribe { id: *rid }));
                 }
-                self.sent_to.remove(rid);
             }
             for t in &targets {
                 out.push((
@@ -908,7 +899,15 @@ impl Broker {
                 .filter_map(|pid| self.prt.xpe_of(*pid).map(|x| (*pid, x.clone())))
                 .collect();
             for (pid, pxpe) in promotions {
-                let targets = self.sub_targets(&pxpe, Some(from));
+                // The removed coverer stood in for the promoted
+                // subscription everywhere but the promoted node's own
+                // origins, including toward `from`.
+                let own = self.prt.hops_of(pid);
+                let targets: Vec<Dest> = self
+                    .sub_targets(&pxpe, None)
+                    .into_iter()
+                    .filter(|t| !own.contains(t))
+                    .collect();
                 for t in &targets {
                     out.push((
                         *t,
@@ -1018,10 +1017,12 @@ impl Broker {
                 .or_default()
                 .extend(targets.iter().copied());
             for rid in app.retract {
-                for t in &targets {
+                // As in `handle_subscribe`: only where the absorbed
+                // subscription was sent, never toward its origin.
+                let sent = self.sent_to.remove(&rid).unwrap_or_default();
+                for t in targets.iter().filter(|t| sent.contains(t)) {
                     out.push(Outbound::from((*t, Message::Unsubscribe { id: rid })));
                 }
-                self.sent_to.remove(&rid);
             }
         }
         self.stats.sent += out.len() as u64;
@@ -1097,6 +1098,28 @@ mod tests {
 
     fn broker_hop(n: u32) -> Dest {
         Dest::Broker(BrokerId(n))
+    }
+
+    #[test]
+    fn publication_is_encoded_once_per_hop() {
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::builder().build());
+        b.add_neighbor(BrokerId(1));
+        b.add_neighbor(BrokerId(2));
+        b.handle(client(7), Message::subscribe(SubId(1), xpe("/a")));
+        b.handle(client(8), Message::subscribe(SubId(2), xpe("//b")));
+        b.handle(broker_hop(2), Message::subscribe(SubId(3), xpe("/a/b")));
+        let out = b.handle_frames(broker_hop(1), Message::Publish(publication(&["a", "b"])));
+        let mut dests: Vec<Dest> = out.iter().map(|o| o.dest).collect();
+        dests.sort();
+        assert_eq!(dests, [broker_hop(2), client(7), client(8)]);
+        let first = out[0].frame.encoded_payload();
+        for o in &out[1..] {
+            assert!(
+                Arc::ptr_eq(&first, &o.frame.encoded_payload()),
+                "{:?} got an encoding of its own",
+                o.dest
+            );
+        }
     }
 
     #[test]

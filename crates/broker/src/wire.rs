@@ -555,23 +555,6 @@ impl FrameBuf {
         }
     }
 
-    /// Builds an unsequenced frame around an already-shared payload —
-    /// the fan-out entry point: one `Arc<Message>` feeds every peer's
-    /// frame. The payload must not be [`Message::Sequenced`] (use
-    /// [`FrameBuf::from_message`] to normalize one).
-    pub fn from_payload(inner: Arc<Message>) -> FrameBuf {
-        debug_assert!(
-            !matches!(*inner, Message::Sequenced { .. }),
-            "sequenced messages are normalized by from_message"
-        );
-        FrameBuf {
-            kind: inner.kind(),
-            inner,
-            enc: Arc::new(OnceLock::new()),
-            seq: None,
-        }
-    }
-
     /// This frame re-stamped with a per-peer reliability header: the
     /// payload `Arc` and the encoded body are shared, only the 29-byte
     /// header region differs.
@@ -1044,8 +1027,8 @@ mod tests {
             assert_eq!(frame.clone().into_message(), msg);
         }
         // Stamping k peers encodes the payload exactly once.
-        let payload = Arc::new(samples()[6].clone());
-        let base = FrameBuf::from_payload(Arc::clone(&payload));
+        let payload = samples()[6].clone();
+        let base = FrameBuf::from_message(payload.clone());
         let before = codec_stats().encode_calls;
         let frames: Vec<FrameBuf> = (1..=8)
             .map(|seq| {
@@ -1062,7 +1045,7 @@ mod tests {
             match decoded {
                 Message::Sequenced { seq, inner, .. } => {
                     assert_eq!(seq, i as u64 + 1);
-                    assert_eq!(*inner, *payload);
+                    assert_eq!(*inner, payload);
                 }
                 other => panic!("expected sequenced, got {other:?}"),
             }

@@ -232,7 +232,7 @@ proptest! {
         low in counter_strategy(),
         peers in 1u64..8,
     ) {
-        let base = FrameBuf::from_payload(Arc::new(inner.clone()));
+        let base = FrameBuf::from_message(inner.clone());
         for seq in 1..=peers {
             let stamped = base.stamped(SeqHeader { epoch, seq, low });
             let equivalent = Message::Sequenced {

@@ -150,6 +150,14 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
         self.entries.get(&id).map(|(xpe, _)| xpe)
     }
 
+    fn hops_of(&self, id: SubId) -> Vec<H> {
+        self.entries
+            .get(&id)
+            .map(|(_, h)| h.clone())
+            .into_iter()
+            .collect()
+    }
+
     /// Every stored subscription with its last hop (all are forwarded,
     /// as in the flat scheme).
     fn forwarded_subs(&self) -> Vec<(SubId, Xpe, Vec<H>)> {

@@ -41,6 +41,7 @@
 
 pub mod adv;
 pub mod advmatch;
+mod advnfa;
 pub mod automaton;
 pub mod cover;
 pub mod merge;

@@ -21,9 +21,10 @@
 //! brokers program against.
 
 use crate::adv::Advertisement;
-use crate::advmatch::PreparedAdv;
+use crate::advnfa::{HopNfa, Names, Search};
 use crate::subtree::{Insertion, NodeId, SubscriptionTree};
-use std::collections::{BTreeSet, HashMap};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use xdn_xpath::automaton::PathAutomaton;
 use xdn_xpath::Xpe;
@@ -51,20 +52,40 @@ impl fmt::Display for SubId {
 /// The subscription routing table: advertisements with the neighbour
 /// they arrived from. Generic over the hop type `H` (a broker id, a
 /// client handle, …).
-#[derive(Debug, Clone)]
+///
+/// The entries are the table (sync export, the routing signature,
+/// [`Srt::compact`], unadvertise); matching runs on an index beside
+/// them, one automaton per last hop (the `advnfa` module), searched on
+/// scratch the table owns. The scratch makes the table `Send` but not
+/// `Sync`.
+#[derive(Debug)]
 pub struct Srt<H> {
-    entries: HashMap<AdvId, (PreparedAdv, H)>,
+    entries: HashMap<AdvId, (Advertisement, H)>,
+    /// Element names of every hop's automaton.
+    names: Names,
+    /// The entries of each last hop as one automaton.
+    hops: BTreeMap<H, HopNfa>,
+    search: RefCell<Search>,
 }
-
-/// Longest subscription the SRT pre-expands recursive advertisements
-/// for; longer subscriptions use the exact dynamic algorithm. The
-/// paper caps query length at 10.
-const SRT_PREPARED_SUB_LEN: usize = 16;
 
 impl<H> Default for Srt<H> {
     fn default() -> Self {
         Srt {
             entries: HashMap::new(),
+            names: Names::default(),
+            hops: BTreeMap::new(),
+            search: RefCell::default(),
+        }
+    }
+}
+
+impl<H: Clone> Clone for Srt<H> {
+    fn clone(&self) -> Self {
+        Srt {
+            entries: self.entries.clone(),
+            names: self.names.clone(),
+            hops: self.hops.clone(),
+            search: RefCell::default(),
         }
     }
 }
@@ -75,17 +96,50 @@ impl<H: Clone + Ord> Srt<H> {
         Self::default()
     }
 
-    /// Records an advertisement from `last_hop`, pre-expanding its
-    /// repetitions for fast repeated matching. Replaces any previous
-    /// entry for the same id (re-flooded advertisements).
+    /// Records an advertisement from `last_hop`, threading it into that
+    /// hop's automaton. Replaces any previous entry for the same id
+    /// (re-flooded advertisements); an unchanged one costs a lookup.
     pub fn insert(&mut self, id: AdvId, adv: Advertisement, last_hop: H) {
-        self.entries
-            .insert(id, (PreparedAdv::new(adv, SRT_PREPARED_SUB_LEN), last_hop));
+        if let Some(old) = self.entries.get(&id) {
+            if old.0 == adv && old.1 == last_hop {
+                return;
+            }
+        }
+        self.hops
+            .entry(last_hop.clone())
+            .or_default()
+            .thread(&adv, &mut self.names);
+        if let Some((_, old_hop)) = self.entries.insert(id, (adv, last_hop)) {
+            // The replaced advertisement may still be in its hop's
+            // automaton.
+            self.rebuild(&old_hop);
+        }
     }
 
-    /// Removes an advertisement (producer departure).
+    /// Removes an advertisement (producer departure), rebuilding its
+    /// hop's automaton from the entries left.
     pub fn remove(&mut self, id: AdvId) -> Option<(Advertisement, H)> {
-        self.entries.remove(&id).map(|(p, h)| (p.adv().clone(), h))
+        let removed = self.entries.remove(&id)?;
+        self.rebuild(&removed.1);
+        Some(removed)
+    }
+
+    /// Rebuilds `hop`'s automaton from its entries, in id order; drops
+    /// it when none are left.
+    fn rebuild(&mut self, hop: &H) {
+        let mut advs: Vec<(AdvId, &Advertisement)> = self
+            .entries
+            .iter()
+            .filter(|(_, (_, h))| h == hop)
+            .map(|(&id, (adv, _))| (id, adv))
+            .collect();
+        if advs.is_empty() {
+            self.hops.remove(hop);
+            return;
+        }
+        advs.sort_unstable_by_key(|&(id, _)| id);
+        let nfa = HopNfa::build(advs.into_iter().map(|(_, adv)| adv), &mut self.names);
+        self.hops.insert(hop.clone(), nfa);
     }
 
     /// Number of stored advertisements.
@@ -98,21 +152,37 @@ impl<H: Clone + Ord> Srt<H> {
         self.entries.is_empty()
     }
 
+    /// States over all the hops' automatons.
+    pub fn automaton_states(&self) -> usize {
+        self.hops.values().map(HopNfa::states).sum()
+    }
+
     /// The last hops whose advertisements overlap `sub` — where the
-    /// subscription must be forwarded. Deduplicated.
+    /// subscription must be forwarded. Deduplicated. Exact for every
+    /// advertisement and subscription shape and length: one search of
+    /// each hop's automaton, ended by the first placement of `sub`'s
+    /// last step.
     pub fn match_sub(&self, sub: &Xpe) -> BTreeSet<H> {
-        self.entries
-            .values()
-            .filter(|(adv, _)| adv.overlaps(sub))
-            .map(|(_, hop)| hop.clone())
+        match self.search.try_borrow_mut() {
+            Ok(mut search) => self.match_on(&mut search, sub),
+            // Only a re-entrant call can find the scratch taken; it
+            // searches on scratch of its own.
+            Err(_) => self.match_on(&mut Search::default(), sub),
+        }
+    }
+
+    fn match_on(&self, search: &mut Search, sub: &Xpe) -> BTreeSet<H> {
+        search.resolve(sub, &self.names);
+        self.hops
+            .iter()
+            .filter(|(_, nfa)| nfa.reaches(search))
+            .map(|(hop, _)| hop.clone())
             .collect()
     }
 
     /// Iterates over the stored entries.
     pub fn iter(&self) -> impl Iterator<Item = (AdvId, &Advertisement, &H)> {
-        self.entries
-            .iter()
-            .map(|(&id, (adv, hop))| (id, adv.adv(), hop))
+        self.entries.iter().map(|(&id, (adv, hop))| (id, adv, hop))
     }
 
     /// Compacts the table by dropping non-recursive advertisements
@@ -120,26 +190,31 @@ impl<H: Clone + Ord> Srt<H> {
     /// last hop** (§4.2 notes advertisement covering works like
     /// subscription covering). Routing is unchanged: `P(a2) ⊆ P(a1)`
     /// means every subscription overlapping `a2` overlaps `a1`, and the
-    /// hop — the routing answer — is identical. Returns the number of
-    /// entries removed.
+    /// hop — the routing answer — is identical. The hops that lost
+    /// entries rebuild their automatons. Returns the number of entries
+    /// removed.
     pub fn compact(&mut self) -> usize {
         let mut ids: Vec<AdvId> = self.entries.keys().copied().collect();
         ids.sort();
         let mut dropped = Vec::new();
         for &a in &ids {
-            let (pa, ha) = &self.entries[&a];
-            let Some(path_a) = pa.adv().as_non_recursive() else {
+            let Some((adv_a, ha)) = self.entries.get(&a) else {
+                continue;
+            };
+            let Some(path_a) = adv_a.as_non_recursive() else {
                 continue;
             };
             let covered = ids.iter().any(|&b| {
                 if a == b || dropped.contains(&b) {
                     return false;
                 }
-                let (pb, hb) = &self.entries[&b];
+                let Some((adv_b, hb)) = self.entries.get(&b) else {
+                    return false;
+                };
                 if ha != hb {
                     return false;
                 }
-                let Some(path_b) = pb.adv().as_non_recursive() else {
+                let Some(path_b) = adv_b.as_non_recursive() else {
                     return false;
                 };
                 // Equal advertisements tie-break on id so exactly one
@@ -151,8 +226,14 @@ impl<H: Clone + Ord> Srt<H> {
                 dropped.push(a);
             }
         }
+        let mut touched = BTreeSet::new();
         for id in &dropped {
-            self.entries.remove(id);
+            if let Some((_, hop)) = self.entries.remove(id) {
+                touched.insert(hop);
+            }
+        }
+        for hop in &touched {
+            self.rebuild(hop);
         }
         dropped.len()
     }
@@ -198,6 +279,11 @@ pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
 
     /// The expression registered under `id`, if present.
     fn xpe_of(&self, id: SubId) -> Option<&Xpe>;
+
+    /// The last hops of `id` and of every subscription stored with it
+    /// under one expression: the directions that expression is never
+    /// forwarded toward. Empty for unknown ids and mergers.
+    fn hops_of(&self, id: SubId) -> Vec<H>;
 
     /// The forwarded subscriptions: a representative id, the
     /// expression, and the last hops each was received from. Used to
@@ -534,6 +620,21 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
         Prt::xpe_of(self, id)
     }
 
+    fn hops_of(&self, id: SubId) -> Vec<H> {
+        let Some(&node) = self.by_sub.get(&id) else {
+            return Vec::new();
+        };
+        let mut hops: Vec<H> = self
+            .tree
+            .payload(node)
+            .iter()
+            .map(|(_, h)| h.clone())
+            .collect();
+        hops.sort();
+        hops.dedup();
+        hops
+    }
+
     /// Each top-level tree node yields a representative id (the
     /// synthetic merger's, or the first subscriber's) with the hops the
     /// expression was received from.
@@ -647,6 +748,14 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for FlatPrt<H> {
         FlatPrt::xpe_of(self, id)
     }
 
+    fn hops_of(&self, id: SubId) -> Vec<H> {
+        self.entries
+            .get(&id)
+            .map(|(_, h)| h.clone())
+            .into_iter()
+            .collect()
+    }
+
     /// Every stored subscription with its last hop (all are forwarded
     /// in the flat scheme).
     fn forwarded_subs(&self) -> Vec<(SubId, Xpe, Vec<H>)> {
@@ -692,6 +801,40 @@ mod tests {
         srt.insert(AdvId(1), adv(&["a", "b"]), "n1");
         srt.insert(AdvId(2), adv(&["a", "c"]), "n1");
         assert_eq!(srt.match_sub(&xpe("/a")).len(), 1);
+    }
+
+    #[test]
+    fn srt_places_descendant_gaps_across_many_repetitions() {
+        // Each `//f/b` crosses one iteration of the body, so the
+        // witness path repeats it five times: more than a length cap
+        // of `min_len + k + period + 1` positions admits.
+        let adv = Advertisement::parse("/a(/b/c/d/e/f)+/g").unwrap();
+        let sub = xpe("/a//f/b//f/b//f/b//f/b//f");
+        let mut witness = vec!["a"];
+        for _ in 0..5 {
+            witness.extend(["b", "c", "d", "e", "f"]);
+        }
+        witness.push("g");
+        assert!(adv.matches_path(&witness) && sub.matches_path(&witness));
+        let mut srt = Srt::new();
+        srt.insert(AdvId(1), adv, "n1");
+        assert_eq!(srt.match_sub(&sub).len(), 1);
+        // After `f` comes `b` or `g`, never `c`.
+        assert!(srt.match_sub(&xpe("/a//f/c")).is_empty());
+    }
+
+    #[test]
+    fn srt_moving_an_advertisement_rebuilds_the_hop_it_left() {
+        let mut srt = Srt::new();
+        srt.insert(AdvId(1), Advertisement::parse("/a(/b)+").unwrap(), "n1");
+        srt.insert(AdvId(2), adv(&["x"]), "n1");
+        assert_eq!(srt.match_sub(&xpe("/a/b/b")).len(), 1);
+        srt.insert(AdvId(1), Advertisement::parse("/a(/b)+").unwrap(), "n2");
+        let hops: Vec<_> = srt.match_sub(&xpe("/a/b/b")).into_iter().collect();
+        assert_eq!(hops, ["n2"]);
+        srt.remove(AdvId(1));
+        assert!(srt.match_sub(&xpe("a")).is_empty());
+        assert_eq!(srt.match_sub(&xpe("//x")).len(), 1);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod dtd;
 pub mod error;
 pub mod generate;
 pub mod paths;
-pub mod pretty;
 pub mod reassemble;
 pub mod tree;
 

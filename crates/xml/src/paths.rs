@@ -121,33 +121,32 @@ impl fmt::Display for DocPath {
 /// ```
 pub fn extract_paths(doc: &Document, doc_id: DocId) -> Vec<DocPath> {
     let mut out = Vec::new();
-    let mut prefix = Vec::new();
-    let mut attrs = Vec::new();
-    walk(doc.root(), doc_id, &mut prefix, &mut attrs, &mut out);
+    walk(doc.root(), doc_id, &mut Vec::new(), &mut out);
     out
 }
 
-fn walk(
-    elem: &Element,
+/// Visits `elem` below the borrowed `prefix` of its ancestors; each
+/// leaf builds its path's names and attributes once.
+fn walk<'d>(
+    elem: &'d Element,
     doc_id: DocId,
-    prefix: &mut Vec<String>,
-    attrs: &mut Vec<Vec<(String, String)>>,
+    prefix: &mut Vec<&'d Element>,
     out: &mut Vec<DocPath>,
 ) {
-    prefix.push(elem.name().to_owned());
-    attrs.push(elem.attributes().to_vec());
+    prefix.push(elem);
     if elem.is_leaf() {
-        out.push(
-            DocPath::new(doc_id, PathId(out.len() as u32), prefix.clone())
-                .with_attributes(attrs.clone()),
-        );
+        out.push(DocPath {
+            doc_id,
+            path_id: PathId(out.len() as u32),
+            elements: prefix.iter().map(|e| e.name().to_owned()).collect(),
+            attributes: prefix.iter().map(|e| e.attributes().to_vec()).collect(),
+        });
     } else {
         for child in elem.child_elements() {
-            walk(child, doc_id, prefix, attrs, out);
+            walk(child, doc_id, prefix, out);
         }
     }
     prefix.pop();
-    attrs.pop();
 }
 
 /// Deduplicates paths that share the same element sequence, keeping the
@@ -155,10 +154,17 @@ fn walk(
 /// sibling subtrees produce redundant routing work that publishers can
 /// elide.
 pub fn dedup_paths(paths: Vec<DocPath>) -> Vec<DocPath> {
-    let mut seen = std::collections::HashSet::new();
+    let keep: Vec<bool> = {
+        let mut seen = std::collections::HashSet::with_capacity(paths.len());
+        paths
+            .iter()
+            .map(|p| seen.insert(p.elements.as_slice()))
+            .collect()
+    };
     paths
         .into_iter()
-        .filter(|p| seen.insert(p.elements.clone()))
+        .zip(keep)
+        .filter_map(|(p, first)| first.then_some(p))
         .collect()
 }
 
