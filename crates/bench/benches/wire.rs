@@ -8,7 +8,7 @@
 //!   header plus nested inner frame) per peer;
 //! * **shared** — the `FrameBuf` path: encode the payload body once,
 //!   then stamp each peer's 29-byte sequencing header over the shared
-//!   body with a vectored write.
+//!   body and write header and body.
 //!
 //! Encode calls and encoded bytes are measured from the codec's own
 //! process-wide counters ([`wire::codec_stats`]) as deltas around each

@@ -5,7 +5,6 @@
 //! ≈87 % of its size, and imperfect merging with `D = 0.1` to ≈67 %.
 
 use crate::{universe_sample, Scale, SEED};
-use xdn_core::merge::MergeConfig;
 use xdn_core::subtree::SubscriptionTree;
 use xdn_workloads::{nitf_dtd, sets};
 
@@ -39,22 +38,14 @@ pub fn run(scale: &Scale, points: usize) -> Vec<Fig7Row> {
     let mut tree: SubscriptionTree<()> = SubscriptionTree::new();
     let mut rows = Vec::new();
     let mut next_checkpoint = step;
-    let perfect_cfg = MergeConfig {
-        max_degree: 0.0,
-        ..MergeConfig::default()
-    };
-    let imperfect_cfg = MergeConfig {
-        max_degree: 0.1,
-        ..MergeConfig::default()
-    };
     for (i, q) in queries.iter().enumerate() {
         tree.insert(q.clone(), ());
         if i + 1 == next_checkpoint || i + 1 == n {
             let covering = tree.root_count();
             let mut pm = tree.clone();
-            xdn_core::merge::merge_tree(&mut pm, &universe, &perfect_cfg);
+            xdn_core::merge::merge_tree(&mut pm, &universe, 0.0);
             let mut ipm = tree.clone();
-            xdn_core::merge::merge_tree(&mut ipm, &universe, &imperfect_cfg);
+            xdn_core::merge::merge_tree(&mut ipm, &universe, 0.1);
             rows.push(Fig7Row {
                 queries: i + 1,
                 covering,

@@ -10,7 +10,6 @@
 use crate::{Scale, SEED};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use xdn_core::merge::MergeConfig;
 use xdn_core::rtable::{Prt, PublicationRouter, SubId};
 use xdn_workloads::{docs, nitf_dtd};
 use xdn_xpath::generate::XpeGeneratorConfig;
@@ -92,12 +91,8 @@ pub fn run(scale: &Scale, degrees: &[f64]) -> Vec<Fig9Point> {
                     prt.insert(SubId(i as u64), q.clone(), 0);
                 }
                 if degree > 0.0 {
-                    let cfg = MergeConfig {
-                        max_degree: degree,
-                        ..MergeConfig::default()
-                    };
                     let mut seq = 1_000_000u64;
-                    prt.apply_merging(&universe, &cfg, || {
+                    prt.apply_merging(&universe, degree, || {
                         seq += 1;
                         SubId(seq)
                     });

@@ -29,7 +29,6 @@
 
 use crate::{universe_sample, Scale, SEED};
 use std::time::Duration;
-use xdn_core::merge::MergeConfig;
 use xdn_core::rtable::{FlatPrt, Prt, PublicationRouter, SubId};
 use xdn_obs::{Histogram, Stopwatch};
 use xdn_workloads::{docs, nitf_dtd, sets};
@@ -115,19 +114,11 @@ fn run_set(queries: &[Xpe], pubs: &[Vec<String>], universe: &[Vec<String>]) -> [
         seq += 1;
         SubId(seq)
     };
-    let pm_cfg = MergeConfig {
-        max_degree: 0.0,
-        ..MergeConfig::default()
-    };
-    perfect.apply_merging(universe, &pm_cfg, &mut next_id);
+    perfect.apply_merging(universe, 0.0, &mut next_id);
     // Imperfect merging runs on top of the perfect pass, as in a broker
     // that relaxes its degree budget.
-    let ipm_cfg = MergeConfig {
-        max_degree: 0.1,
-        ..MergeConfig::default()
-    };
-    imperfect.apply_merging(universe, &pm_cfg, &mut next_id);
-    imperfect.apply_merging(universe, &ipm_cfg, &mut next_id);
+    imperfect.apply_merging(universe, 0.0, &mut next_id);
+    imperfect.apply_merging(universe, 0.1, &mut next_id);
 
     let cells: [Cell; 4] = [
         &|| time_each(&flat, pubs),

@@ -7,7 +7,6 @@ use crate::wire::{FrameBuf, Outbound};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use xdn_core::automaton::{AutomatonPrt, AutomatonStats};
-use xdn_core::merge::MergeConfig;
 use xdn_core::rtable::{Prt, PublicationRouter, Srt, SubId};
 use xdn_obs::{Stopwatch, TraceEvent, Tracer};
 use xdn_xpath::Xpe;
@@ -138,11 +137,18 @@ impl RoutingConfig {
         ]
     }
 
-    /// Looks a strategy up by its Tables 2/3 name.
+    /// Looks a strategy up by its Tables 2/3 name, comparing letters
+    /// and digits only and ignoring case, so `with-adv-with-cov-pm`
+    /// finds `with-Adv-with-CovPM`.
     pub fn by_name(name: &str) -> Option<RoutingConfig> {
+        fn key(s: &str) -> impl Iterator<Item = char> + '_ {
+            s.chars()
+                .filter(char::is_ascii_alphanumeric)
+                .map(|c| c.to_ascii_lowercase())
+        }
         Self::all_strategies()
             .into_iter()
-            .find(|(n, _)| *n == name)
+            .find(|(n, _)| key(n).eq(key(name)))
             .map(|(_, cfg)| cfg)
     }
 }
@@ -287,11 +293,6 @@ impl Broker {
         self.tracer = Some(TracerHandle(tracer));
     }
 
-    /// Removes the trace sink, restoring the zero-cost disabled path.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
-    }
-
     /// Resets the performance counters.
     pub fn reset_stats(&mut self) {
         self.stats = BrokerStats::default();
@@ -361,22 +362,9 @@ impl Broker {
         self.links.values().map(OutboundLink::unacked_len).sum()
     }
 
-    /// Total frames shed from full retransmit buffers — each one a
-    /// frame the reliability layer can no longer guarantee.
-    pub fn retransmit_overflow_total(&self) -> u64 {
-        self.links.values().map(OutboundLink::overflow).sum()
-    }
-
     /// Number of advertisements in the SRT.
     pub fn srt_size(&self) -> usize {
         self.srt.len()
-    }
-
-    /// Compacts the SRT by dropping advertisements covered by another
-    /// one from the same hop (§4.2's advertisement-covering remark).
-    /// Returns the number of entries removed. Routing is unchanged.
-    pub fn compact_srt(&mut self) -> usize {
-        self.srt.compact()
     }
 
     /// Number of subscriptions stored in the PRT.
@@ -988,18 +976,16 @@ impl Broker {
         let Some(universe) = self.universe.clone() else {
             return Vec::new();
         };
-        let cfg = MergeConfig {
-            max_degree: mode.max_degree(),
-            ..MergeConfig::default()
-        };
         let broker_bits = (self.id.0 as u64) << 32;
         let seq = &mut self.merger_seq;
         // Non-covering tables have nothing to merge; their trait impl
         // returns no applications.
-        let apps = self.prt.apply_merging(&universe, &cfg, &mut || {
-            *seq += 1;
-            SubId((1 << 63) | broker_bits | *seq)
-        });
+        let apps = self
+            .prt
+            .apply_merging(&universe, mode.max_degree(), &mut || {
+                *seq += 1;
+                SubId((1 << 63) | broker_bits | *seq)
+            });
         let mut out = Vec::new();
         for app in apps {
             let targets = self.sub_targets(&app.xpe, None);
@@ -1101,6 +1087,14 @@ mod tests {
     }
 
     #[test]
+    fn strategy_names_ignore_case_and_punctuation() {
+        let pm = RoutingConfig::by_name("with-Adv-with-CovPM").expect("a paper name");
+        assert_eq!(RoutingConfig::by_name("with-adv-with-cov-pm"), Some(pm));
+        assert_ne!(RoutingConfig::by_name("with-adv-with-cov-ipm"), Some(pm));
+        assert_eq!(RoutingConfig::by_name("with-adv"), None);
+    }
+
+    #[test]
     fn publication_is_encoded_once_per_hop() {
         let mut b = Broker::new(BrokerId(0), RoutingConfig::builder().build());
         b.add_neighbor(BrokerId(1));
@@ -1115,7 +1109,7 @@ mod tests {
         let first = out[0].frame.encoded_payload();
         for o in &out[1..] {
             assert!(
-                Arc::ptr_eq(&first, &o.frame.encoded_payload()),
+                std::ptr::eq(first, o.frame.encoded_payload()),
                 "{:?} got an encoding of its own",
                 o.dest
             );
@@ -1701,68 +1695,6 @@ mod tests {
             }
         )));
         assert_eq!(a2.stats().retransmits, 1);
-    }
-}
-
-#[cfg(test)]
-mod srt_compact_tests {
-    use super::tests::MessageView;
-    use super::*;
-    use crate::message::{ClientId, Publication};
-    use xdn_core::adv::{AdvPath, Advertisement};
-    use xdn_core::rtable::AdvId;
-    use xdn_xml::{DocId, PathId};
-
-    #[test]
-    fn compaction_preserves_subscription_routing() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
-        b.add_neighbor(BrokerId(1));
-        let from = Dest::Broker(BrokerId(1));
-        b.handle(
-            from,
-            Message::advertise(
-                AdvId(1),
-                Advertisement::non_recursive(AdvPath::from_names(&["a", "*"])),
-            ),
-        );
-        b.handle(
-            from,
-            Message::advertise(
-                AdvId(2),
-                Advertisement::non_recursive(AdvPath::from_names(&["a", "b"])),
-            ),
-        );
-        assert_eq!(b.srt_size(), 2);
-        assert_eq!(b.compact_srt(), 1);
-        assert_eq!(b.srt_size(), 1);
-
-        // The subscription still routes toward the surviving entry.
-        let out = b.handle(
-            Dest::Client(ClientId(9)),
-            Message::subscribe(SubId(1), "/a/b".parse().expect("xpe")),
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, from);
-
-        // And publications still flow to the subscriber.
-        let out = b.handle(
-            from,
-            Message::Publish(Publication {
-                doc_id: DocId(1),
-                path_id: PathId(0),
-                elements: vec!["a".into(), "b".into()],
-                attributes: Vec::new(),
-                doc_bytes: 10,
-            }),
-        );
-        assert_eq!(out.len(), 1);
-        assert!(out[0].0.is_client());
     }
 }
 

@@ -27,7 +27,7 @@
 //! restarted receiver rejoin an ongoing epoch without either dropping
 //! live frames as false duplicates or re-processing acked ones.
 
-use crate::message::{BrokerId, Dest, Message};
+use crate::message::{BrokerId, Dest};
 use crate::wire::{FrameBuf, SeqHeader};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use xdn_obs::{Histogram, Stopwatch};
@@ -129,16 +129,6 @@ impl OutboundLink {
         })
     }
 
-    /// Wraps `inner` in the next `(epoch, seq)` header, buffers a copy
-    /// for retransmission, and returns the frame to send.
-    ///
-    /// Message-typed shim over [`OutboundLink::wrap_frame`], kept for
-    /// one release while callers migrate to the frame data plane.
-    pub fn wrap(&mut self, inner: Message) -> Message {
-        self.wrap_frame(FrameBuf::from_message(inner))
-            .into_message()
-    }
-
     /// Applies a cumulative ack, pruning every frame with
     /// `seq <= acked_seq` of the matching epoch and recording each
     /// pruned frame's age (send-to-ack lag) into `lags`; acks for other
@@ -172,15 +162,6 @@ impl OutboundLink {
                     low,
                 })
             })
-            .collect()
-    }
-
-    /// Message-typed shim over [`OutboundLink::replay_frames`], kept
-    /// for one release while callers migrate to the frame data plane.
-    pub fn replay(&self) -> Vec<Message> {
-        self.replay_frames()
-            .into_iter()
-            .map(FrameBuf::into_message)
             .collect()
     }
 }
@@ -294,31 +275,26 @@ pub struct ReliabilityState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use proptest::prelude::*;
 
-    fn hb() -> Message {
-        Message::Heartbeat
+    fn hb() -> FrameBuf {
+        FrameBuf::from_message(Message::Heartbeat)
+    }
+
+    /// A sequenced frame's `(epoch, seq, low)`.
+    fn header(frame: &FrameBuf) -> (u64, u64, u64) {
+        let h = frame.seq_header().expect("a sequenced frame");
+        (h.epoch, h.seq, h.low)
     }
 
     #[test]
     fn wrap_assigns_increasing_seqs_and_acks_prune() {
         let mut link = OutboundLink::new(3, 16);
-        let f1 = link.wrap(hb());
-        let f2 = link.wrap(hb());
-        match (&f1, &f2) {
-            (
-                Message::Sequenced {
-                    epoch: 3, seq: 1, ..
-                },
-                Message::Sequenced {
-                    epoch: 3,
-                    seq: 2,
-                    low,
-                    ..
-                },
-            ) => assert_eq!(*low, 1),
-            other => panic!("unexpected frames: {other:?}"),
-        }
+        let f1 = link.wrap_frame(hb());
+        let f2 = link.wrap_frame(hb());
+        assert_eq!(header(&f1), (3, 1, 1));
+        assert_eq!(header(&f2), (3, 2, 1));
         assert_eq!(link.unacked_len(), 2);
         let mut lags = Histogram::new();
         // An ack for a foreign epoch is ignored.
@@ -339,28 +315,18 @@ mod tests {
     fn replay_preserves_original_seqs() {
         let mut link = OutboundLink::new(1, 16);
         for _ in 0..3 {
-            link.wrap(hb());
+            link.wrap_frame(hb());
         }
         link.on_ack(1, 1, &mut Histogram::new());
-        let replayed = link.replay();
-        let seqs: Vec<u64> = replayed
-            .iter()
-            .map(|m| match m {
-                Message::Sequenced { seq, low, .. } => {
-                    assert_eq!(*low, 2);
-                    *seq
-                }
-                other => panic!("not sequenced: {other:?}"),
-            })
-            .collect();
-        assert_eq!(seqs, vec![2, 3]);
+        let headers: Vec<_> = link.replay_frames().iter().map(header).collect();
+        assert_eq!(headers, [(1, 2, 2), (1, 3, 2)]);
     }
 
     #[test]
     fn overflow_sheds_oldest_and_counts() {
         let mut link = OutboundLink::new(1, 2);
         for _ in 0..5 {
-            link.wrap(hb());
+            link.wrap_frame(hb());
         }
         assert_eq!(link.unacked_len(), 2);
         assert_eq!(link.overflow(), 3);
@@ -410,15 +376,8 @@ mod tests {
         assert_eq!(w.observe(1, u64::MAX, u64::MAX), Admit::Duplicate);
         assert_eq!(w.ack_value(), (1, u64::MAX));
         let mut link = OutboundLink::new(u64::MAX, 4);
-        let f = link.wrap(hb());
-        assert!(matches!(
-            f,
-            Message::Sequenced {
-                epoch: u64::MAX,
-                seq: 1,
-                ..
-            }
-        ));
+        let f = link.wrap_frame(hb());
+        assert_eq!(header(&f), (u64::MAX, 1, 1));
     }
 
     /// The admission rule before in-order frames skipped the set:

@@ -20,9 +20,9 @@
 //! once per peer, and for sequenced frames the inner payload was
 //! encoded into a temporary and copied into the outer body a second
 //! time. [`FrameBuf`] fixes both. It holds the payload's encoded bytes
-//! in one immutable shared body (`Arc<[u8]>`, produced lazily by
-//! [`encode_into`]) plus a small per-peer [`SeqHeader`]; stamping a
-//! frame for another peer ([`FrameBuf::stamped`]) shares the body and
+//! in one immutable shared body, produced lazily by [`encode_into`] at
+//! most once per fan-out, plus a small per-peer [`SeqHeader`]; stamping
+//! a frame for another peer ([`FrameBuf::stamped`]) shares the body and
 //! rewrites only the 29-byte `Sequenced` header region. Scratch buffers
 //! come from a bounded thread-local pool ([`pool_acquire`] /
 //! [`pool_release`]) whose hit/miss/discard counters — together with
@@ -45,7 +45,7 @@ use bytes::{Buf, BufMut};
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
-use std::io::{self, IoSlice, Write};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use xdn_core::adv::Advertisement;
@@ -192,42 +192,79 @@ pub fn codec_stats() -> CodecStats {
 /// Appends one complete length-prefixed frame for `msg` to `out`,
 /// in place — no temporaries, including for the nested payload of a
 /// [`Message::Sequenced`] frame (the length prefixes are backfilled).
+/// The message must fit the codec (see [`encode_checked`]); a length
+/// that overflows its prefix is written truncated.
 ///
-/// This is the one counting entry point of the encoder: each call adds
-/// one to [`CodecStats::encode_calls`] and the frame's size to
-/// [`CodecStats::encoded_bytes`], so "exactly one encode per fan-out"
-/// is measurable.
+/// This and [`encode_checked`] are the counting entry points of the
+/// encoder: each call adds one to [`CodecStats::encode_calls`] and the
+/// frame's size to [`CodecStats::encoded_bytes`], so "exactly one
+/// encode per fan-out" is measurable.
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    let fits = encode_counted(msg, out);
+    debug_assert!(fits, "a length overflows its wire prefix");
+}
+
+/// [`encode_into`] for a message that may not fit the codec, such as a
+/// client's: each string at most `u16::MAX` bytes, each element at most
+/// `u8::MAX` attributes, each path at most `u16::MAX` elements and the
+/// frame body at most [`MAX_FRAME_BYTES`]. A receiver drops the
+/// connection a frame over any of these arrives on.
+///
+/// # Errors
+///
+/// Returns a [`WireError`], and leaves `out` as it was, when `msg` does
+/// not fit.
+pub fn encode_checked(msg: &Message, out: &mut Vec<u8>) -> Result<(), WireError> {
     let before = out.len();
-    encode_frame(msg, out);
+    let fits = encode_counted(msg, out);
+    let body = out.len() - before - 4;
+    if fits && body <= MAX_FRAME_BYTES {
+        return Ok(());
+    }
+    out.truncate(before);
+    Err(WireError::new(if fits {
+        format!("a {body}-byte frame body exceeds {MAX_FRAME_BYTES}")
+    } else {
+        "a length overflows its wire prefix".to_owned()
+    }))
+}
+
+/// [`encode_frame`], counted in the [`codec_stats`].
+fn encode_counted(msg: &Message, out: &mut Vec<u8>) -> bool {
+    let before = out.len();
+    let fits = encode_frame(msg, out);
     ENCODE_CALLS.fetch_add(1, Ordering::Relaxed);
     ENCODED_BYTES.fetch_add((out.len() - before) as u64, Ordering::Relaxed);
+    fits
 }
 
 /// Writes `frame := u32 len | u8 tag | body` directly into `out`,
 /// recursing in place for sequenced payloads and backfilling the
-/// length prefix once the body size is known.
-fn encode_frame(msg: &Message, out: &mut Vec<u8>) {
+/// length prefix once the body size is known. Returns false if a
+/// string, attribute or element count overflowed its prefix.
+fn encode_frame(msg: &Message, out: &mut Vec<u8>) -> bool {
     let len_at = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    match msg {
+    let fits = match msg {
         Message::Advertise { id, adv } => {
             out.put_u8(TAG_ADVERTISE);
             out.put_u64(id.0);
-            put_str(out, &adv.to_string());
+            put_str(out, &adv.to_string())
         }
         Message::Unadvertise { id } => {
             out.put_u8(TAG_UNADVERTISE);
             out.put_u64(id.0);
+            true
         }
         Message::Subscribe { id, xpe } => {
             out.put_u8(TAG_SUBSCRIBE);
             out.put_u64(id.0);
-            put_str(out, &xpe.to_string());
+            put_str(out, &xpe.to_string())
         }
         Message::Unsubscribe { id } => {
             out.put_u8(TAG_UNSUBSCRIBE);
             out.put_u64(id.0);
+            true
         }
         Message::Publish(p) => {
             out.put_u8(TAG_PUBLISH);
@@ -235,35 +272,47 @@ fn encode_frame(msg: &Message, out: &mut Vec<u8>) {
             out.put_u32(p.path_id.0);
             out.put_u64(p.doc_bytes as u64);
             out.put_u16(p.elements.len() as u16);
+            let mut fits = u16::try_from(p.elements.len()).is_ok();
             for (i, e) in p.elements.iter().enumerate() {
-                put_str(out, e);
+                fits &= put_str(out, e);
                 let attrs: &[(String, String)] = p.attributes.get(i).map_or(&[], Vec::as_slice);
                 out.put_u8(attrs.len() as u8);
+                fits &= u8::try_from(attrs.len()).is_ok();
                 for (k, v) in attrs {
-                    put_str(out, k);
-                    put_str(out, v);
+                    fits &= put_str(out, k);
+                    fits &= put_str(out, v);
                 }
             }
+            fits
         }
-        Message::Heartbeat => out.put_u8(TAG_HEARTBEAT),
-        Message::SyncRequest => out.put_u8(TAG_SYNC_REQUEST),
+        Message::Heartbeat => {
+            out.put_u8(TAG_HEARTBEAT);
+            true
+        }
+        Message::SyncRequest => {
+            out.put_u8(TAG_SYNC_REQUEST);
+            true
+        }
         Message::SyncState { advs, subs } => {
             out.put_u8(TAG_SYNC_STATE);
             out.put_u32(advs.len() as u32);
+            let mut fits = true;
             for (id, adv) in advs {
                 out.put_u64(id.0);
-                put_str(out, &adv.to_string());
+                fits &= put_str(out, &adv.to_string());
             }
             out.put_u32(subs.len() as u32);
             for (id, xpe) in subs {
                 out.put_u64(id.0);
-                put_str(out, &xpe.to_string());
+                fits &= put_str(out, &xpe.to_string());
             }
+            fits
         }
         Message::Ack { epoch, seq } => {
             out.put_u8(TAG_ACK);
             out.put_u64(*epoch);
             out.put_u64(*seq);
+            true
         }
         Message::Sequenced {
             epoch,
@@ -278,13 +327,14 @@ fn encode_frame(msg: &Message, out: &mut Vec<u8>) {
             // The payload travels as a complete nested frame so the
             // decoder reuses the whole codec, length checks included —
             // written in place, not through a temporary.
-            encode_frame(inner, out);
+            encode_frame(inner, out)
         }
-    }
+    };
     let body_len = (out.len() - len_at - 4) as u32;
     if let Some(slot) = out.get_mut(len_at..len_at + 4) {
         slot.copy_from_slice(&body_len.to_be_bytes());
     }
+    fits
 }
 
 // ---------------------------------------------------------------------
@@ -437,13 +487,12 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), WireError> {
     Ok((msg, consumed))
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(
-        s.len() <= u16::MAX as usize,
-        "wire strings are u16-prefixed"
-    );
+/// Writes `s` behind its `u16` length prefix. Returns false if the
+/// length overflows the prefix, which is then written truncated.
+fn put_str(buf: &mut Vec<u8>, s: &str) -> bool {
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
+    u16::try_from(s.len()).is_ok()
 }
 
 fn get_u32(b: &mut &[u8]) -> Result<u32, WireError> {
@@ -496,7 +545,7 @@ pub struct SeqHeader {
 /// A `FrameBuf` separates what the old code conflated: the *payload*
 /// (an unsequenced [`Message`], shared via `Arc` by every peer's frame
 /// and the retransmit buffer), its *encoding* (produced lazily, at most
-/// once, shared as `Arc<[u8]>` by every clone), and the per-peer
+/// once, shared by every clone), and the per-peer
 /// [`SeqHeader`] (29 bytes, rewritten per destination without touching
 /// the body). Cloning or [re-stamping](FrameBuf::stamped) a `FrameBuf`
 /// is O(1) and allocation-free.
@@ -509,7 +558,7 @@ pub struct FrameBuf {
     /// The unsequenced payload message.
     inner: Arc<Message>,
     /// The payload's encoded frame, produced at most once per fan-out.
-    enc: Arc<OnceLock<Arc<[u8]>>>,
+    enc: Arc<OnceLock<Box<[u8]>>>,
     /// Per-peer reliability header, if the frame is sequenced.
     seq: Option<SeqHeader>,
     /// The payload's kind, precomputed at construction.
@@ -583,12 +632,6 @@ impl FrameBuf {
         &self.inner
     }
 
-    /// The shared payload handle (for fan-out siblings and retransmit
-    /// buffers).
-    pub fn payload_arc(&self) -> &Arc<Message> {
-        &self.inner
-    }
-
     /// True for frames carrying routing/publication payload, matching
     /// [`Message::is_payload`].
     pub fn is_payload(&self) -> bool {
@@ -607,14 +650,14 @@ impl FrameBuf {
 
     /// The payload's encoded frame, produced on first use and shared by
     /// every clone/stamp of this frame thereafter.
-    pub fn encoded_payload(&self) -> Arc<[u8]> {
-        Arc::clone(self.enc.get_or_init(|| {
+    pub fn encoded_payload(&self) -> &[u8] {
+        self.enc.get_or_init(|| {
             let mut scratch = pool_acquire();
             encode_into(&self.inner, &mut scratch);
-            let body: Arc<[u8]> = Arc::from(scratch.as_slice());
+            let body: Box<[u8]> = Box::from(scratch.as_slice());
             pool_release(scratch);
             body
-        }))
+        })
     }
 
     /// The sequenced header region (`len | tag | epoch | seq | low`),
@@ -650,46 +693,31 @@ impl FrameBuf {
     }
 
     /// Writes the complete frame to `w` without assembling it: the
-    /// header region and the shared body go out as one vectored
-    /// (`write_vectored`) write where possible.
+    /// header region, then the shared body. Every transport passes a
+    /// `BufWriter`, which joins the two into one socket write.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error from the underlying writer.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let body = self.encoded_payload();
-        match self.header_bytes() {
-            Some(hdr) => write_all_vectored(w, &hdr, &body),
-            None => w.write_all(&body),
+        if let Some(hdr) = self.header_bytes() {
+            w.write_all(&hdr)?;
         }
+        w.write_all(self.encoded_payload())
     }
 
-    /// Assembles the complete frame into one owned buffer (tests,
-    /// transports without vectored writers).
+    /// Assembles the complete frame into one owned buffer (tests, the
+    /// in-process benchmark chain).
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         let body = self.encoded_payload();
         match self.header_bytes() {
             Some(hdr) => {
                 let mut out = Vec::with_capacity(hdr.len() + body.len());
                 out.extend_from_slice(&hdr);
-                out.extend_from_slice(&body);
+                out.extend_from_slice(body);
                 out
             }
             None => body.to_vec(),
-        }
-    }
-
-    /// The frame as a [`Message`] (sequenced frames share the payload
-    /// `Arc`; unsequenced ones clone the payload for the caller).
-    pub fn to_message(&self) -> Message {
-        match self.seq {
-            Some(SeqHeader { epoch, seq, low }) => Message::Sequenced {
-                epoch,
-                seq,
-                low,
-                inner: Arc::clone(&self.inner),
-            },
-            None => (*self.inner).clone(),
         }
     }
 
@@ -706,28 +734,6 @@ impl FrameBuf {
             None => Arc::try_unwrap(self.inner).unwrap_or_else(|shared| (*shared).clone()),
         }
     }
-}
-
-/// Write-all loop over `[header, body]` using vectored I/O: most
-/// writers take both slices in one syscall; short writes resume at the
-/// right offset. (`Write::write_all_vectored` is still unstable.)
-fn write_all_vectored(w: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<()> {
-    let total = head.len() + body.len();
-    let mut written = 0usize;
-    while written < total {
-        let n = if written < head.len() {
-            let head_rest = head.get(written..).unwrap_or_default();
-            w.write_vectored(&[IoSlice::new(head_rest), IoSlice::new(body)])?
-        } else {
-            let body_rest = body.get(written - head.len()..).unwrap_or_default();
-            w.write(body_rest)?
-        };
-        if n == 0 {
-            return Err(io::ErrorKind::WriteZero.into());
-        }
-        written += n;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -1023,7 +1029,6 @@ mod tests {
             assert_eq!(frame.to_wire_bytes(), frame_of(&msg), "{msg:?}");
             assert_eq!(frame.encoded_len(), frame_of(&msg).len());
             assert_eq!(frame.kind(), msg.kind());
-            assert_eq!(frame.to_message(), msg);
             assert_eq!(frame.clone().into_message(), msg);
         }
         // Stamping k peers encodes the payload exactly once.
@@ -1050,13 +1055,61 @@ mod tests {
                 other => panic!("expected sequenced, got {other:?}"),
             }
             // All stamps share the base's body allocation.
-            assert!(Arc::ptr_eq(&f.encoded_payload(), &base.encoded_payload()));
+            assert!(std::ptr::eq(f.encoded_payload(), base.encoded_payload()));
         }
         assert_eq!(
             codec_stats().encode_calls - before,
             1,
             "eight stamps, one encode"
         );
+    }
+
+    #[test]
+    fn encode_checked_refuses_what_the_prefixes_cannot_hold() {
+        let _codec = codec_lock();
+        // Encodes after one byte already in the buffer: a refusal must
+        // leave that byte alone, and a frame must be `encode_into`'s.
+        let fits = |msg: &Message| {
+            let mut out = vec![7];
+            let fits = encode_checked(msg, &mut out).is_ok();
+            let want = if fits {
+                [vec![7], frame_of(msg)].concat()
+            } else {
+                vec![7]
+            };
+            assert_eq!(out, want);
+            fits
+        };
+        for msg in samples() {
+            assert!(fits(&msg), "{msg:?}");
+        }
+        let publish = |elements: Vec<String>, attrs: Vec<(String, String)>| {
+            Message::Publish(Publication {
+                doc_id: DocId(1),
+                path_id: PathId(0),
+                elements,
+                attributes: vec![attrs],
+                doc_bytes: 0,
+            })
+        };
+        let pair = |v: usize| ("k".to_owned(), "v".repeat(v));
+        let max = usize::from(u16::MAX);
+        // At each limit the message encodes; one past it, it does not.
+        assert!(fits(&publish(vec!["a".into()], vec![pair(max)])));
+        assert!(!fits(&publish(vec!["a".into()], vec![pair(max + 1)])));
+        assert!(!fits(&publish(vec!["a".repeat(max + 1)], vec![])));
+        assert!(fits(&publish(vec!["a".into()], vec![pair(1); 255])));
+        assert!(!fits(&publish(vec!["a".into()], vec![pair(1); 256])));
+        assert!(fits(&publish(vec!["a".into(); max], vec![])));
+        assert!(!fits(&publish(vec!["a".into(); max + 1], vec![])));
+        let long = format!("/{}", "a".repeat(max)).parse().expect("xpe");
+        assert!(!fits(&Message::subscribe(SubId(1), long)));
+        assert!(!fits(&Message::Sequenced {
+            epoch: 1,
+            seq: 1,
+            low: 1,
+            inner: Arc::new(publish(vec!["a".repeat(max + 1)], vec![])),
+        }));
     }
 
     #[test]
@@ -1071,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    fn write_all_vectored_survives_short_writes() {
+    fn write_to_survives_short_writes() {
         let _codec = codec_lock();
         /// A writer that accepts one byte per call.
         struct Trickle(Vec<u8>);

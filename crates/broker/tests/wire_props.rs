@@ -216,7 +216,7 @@ proptest! {
         let frame = FrameBuf::from_message(msg.clone());
         prop_assert_eq!(frame.to_wire_bytes(), enc(&msg));
         prop_assert_eq!(frame.encoded_len(), enc(&msg).len());
-        // The vectored write path produces the same bytes again.
+        // `write_to` produces the same bytes again.
         let mut sink = Vec::new();
         frame.write_to(&mut sink).expect("write to a Vec");
         prop_assert_eq!(sink, enc(&msg));

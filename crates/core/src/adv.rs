@@ -510,10 +510,13 @@ impl Default for DeriveOptions {
 /// embedded forms can be constructed via [`Advertisement::new`] and are
 /// fully supported by matching.
 ///
-/// The derived set is *complete for bounded documents*: every
-/// root-to-leaf path of a document generated within `max_len` depth
-/// matches some derived advertisement (covered by tests against the
-/// document generator).
+/// The derived set is **not complete** when cycles interleave: the walk
+/// stops where a cycle would nest inside an earlier one or an element
+/// would close a second cycle, so a path that runs through two
+/// interleaved cycles matches no derived advertisement. The PSD set
+/// covers every universe and generated-document path; the NITF set
+/// misses about a third of its universe
+/// (`crates/core/tests/adv_derivation.rs`; ROADMAP item 8).
 pub fn derive_advertisements(dtd: &Dtd, opts: &DeriveOptions) -> Vec<Advertisement> {
     let mut out = Vec::new();
     let mut walker = Walker {

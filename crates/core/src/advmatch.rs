@@ -309,20 +309,6 @@ fn nonrec_overlaps(path: &AdvPath, sub: &Xpe) -> bool {
     }
 }
 
-/// Covering between non-recursive advertisements: `a1` covers `a2`
-/// when every publication advertised by `a2` is advertised by `a1`.
-/// Because `P(a)` contains only paths of exactly `a`'s length, this
-/// requires equal lengths and position-wise covering — stricter than
-/// subscription covering (§4.2 note).
-pub fn adv_covers(a1: &AdvPath, a2: &AdvPath) -> bool {
-    a1.len() == a2.len()
-        && a1
-            .positions()
-            .iter()
-            .zip(a2.positions())
-            .all(|(x, y)| x.covers(y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,14 +475,6 @@ mod tests {
             &xpe("/news/section/section/section/article")
         ));
         assert!(!adv_overlaps_sub(&adv, &xpe("/news/article")));
-    }
-
-    #[test]
-    fn adv_covering_requires_equal_length() {
-        assert!(adv_covers(&path(&["a", "*"]), &path(&["a", "b"])));
-        assert!(!adv_covers(&path(&["a"]), &path(&["a", "b"])));
-        assert!(!adv_covers(&path(&["a", "b"]), &path(&["a", "*"])));
-        assert!(adv_covers(&path(&["*", "*"]), &path(&["x", "y"])));
     }
 
     #[test]

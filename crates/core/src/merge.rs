@@ -184,56 +184,24 @@ pub fn try_merge_rule3(s1: &Xpe, s2: &Xpe, min_shared: f64) -> Option<Xpe> {
     Some(Xpe::new(s1.is_absolute(), steps))
 }
 
-/// Configuration of the pairwise merge attempt and the tree-level
-/// engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergeConfig {
-    /// Maximum tolerated imperfect-merging degree; `0.0` admits only
-    /// perfect mergers.
-    pub max_degree: f64,
-    /// Enable rule 2 (operator + element difference).
-    pub rule2: bool,
-    /// Enable rule 3 (infix collapse).
-    pub rule3: bool,
-    /// Minimum shared fraction for rule 3.
-    pub rule3_min_shared: f64,
-    /// Upper bound on fixpoint iterations of the engine.
-    pub max_rounds: usize,
-}
+/// The shared fraction rule 3 demands in [`try_merge_pair`] (see
+/// [`try_merge_rule3`]).
+const RULE3_MIN_SHARED: f64 = 0.6;
 
-impl Default for MergeConfig {
-    fn default() -> Self {
-        MergeConfig {
-            max_degree: 0.0,
-            rule2: true,
-            rule3: true,
-            rule3_min_shared: 0.6,
-            max_rounds: 8,
-        }
-    }
-}
+/// Upper bound on the fixpoint rounds of [`merge_tree`].
+const MAX_ROUNDS: usize = 8;
 
-/// Attempts to merge a pair under the configured rules (1, then 2,
-/// then 3). Returns `None` if no rule applies or one input covers the
-/// other (covering already handles that case).
-pub fn try_merge_pair(s1: &Xpe, s2: &Xpe, cfg: &MergeConfig) -> Option<Xpe> {
+/// Attempts to merge a pair under rules 1, 2 and 3, in that order, with
+/// rule 3 demanding a 0.6 shared fraction. Returns `None` if no rule
+/// applies or one input covers the other (covering already handles
+/// that case).
+pub fn try_merge_pair(s1: &Xpe, s2: &Xpe) -> Option<Xpe> {
     if covers(s1, s2) || covers(s2, s1) {
         return None;
     }
-    if let Some(m) = try_merge_rule1(&[s1, s2]) {
-        return Some(m);
-    }
-    if cfg.rule2 {
-        if let Some(m) = try_merge_rule2(s1, s2) {
-            return Some(m);
-        }
-    }
-    if cfg.rule3 {
-        if let Some(m) = try_merge_rule3(s1, s2, cfg.rule3_min_shared) {
-            return Some(m);
-        }
-    }
-    None
+    try_merge_rule1(&[s1, s2])
+        .or_else(|| try_merge_rule2(s1, s2))
+        .or_else(|| try_merge_rule3(s1, s2, RULE3_MIN_SHARED))
 }
 
 /// The imperfect-merging degree of `merger` with respect to the
@@ -269,22 +237,13 @@ pub fn imperfect_degree<S: AsRef<str>>(
 pub struct MergeReport {
     /// Mergers inserted, with the top-level nodes each one absorbed.
     pub mergers: Vec<(NodeId, Vec<NodeId>)>,
-    /// Fixpoint rounds executed.
-    pub rounds: usize,
-}
-
-impl MergeReport {
-    /// Total top-level nodes absorbed under mergers.
-    pub fn absorbed(&self) -> usize {
-        self.mergers.iter().map(|(_, d)| d.len()).sum()
-    }
 }
 
 /// Runs the merging engine over the top level of a subscription tree:
-/// repeatedly finds sibling pairs mergeable under `cfg` whose imperfect
-/// degree over `universe` is within `cfg.max_degree`, inserts the
-/// merger, and lets covering demote the absorbed subscriptions, until a
-/// fixpoint (or `cfg.max_rounds`).
+/// repeatedly finds sibling pairs mergeable by [`try_merge_pair`] whose
+/// imperfect degree over `universe` is within `max_degree` (`0.0`
+/// admits only perfect mergers), inserts the merger, and lets covering
+/// demote the absorbed subscriptions, until a fixpoint (or 8 rounds).
 ///
 /// Candidate pairs are discovered with masked-signature hashing (rule
 /// 1/2 candidates agree on everything except the masked positions), so
@@ -292,24 +251,18 @@ impl MergeReport {
 pub fn merge_tree<T: Default, S: AsRef<str>>(
     tree: &mut SubscriptionTree<T>,
     universe: &[Vec<S>],
-    cfg: &MergeConfig,
+    max_degree: f64,
 ) -> MergeReport {
-    let mut report = MergeReport::default();
     // A positive degree budget first exhausts the perfect mergers —
     // the imperfect trajectory then extends the perfect one, so a
     // looser budget can never end with a larger table.
-    if cfg.max_degree > 0.0 {
-        let perfect = MergeConfig {
-            max_degree: 0.0,
-            ..cfg.clone()
-        };
-        let sub = merge_tree(tree, universe, &perfect);
-        report.mergers.extend(sub.mergers);
-        report.rounds += sub.rounds;
-    }
-    for _ in 0..cfg.max_rounds {
-        report.rounds += 1;
-        let candidates = find_candidates(tree, cfg);
+    let mut report = if max_degree > 0.0 {
+        merge_tree(tree, universe, 0.0)
+    } else {
+        MergeReport::default()
+    };
+    for _ in 0..MAX_ROUNDS {
+        let candidates = find_candidates(tree);
         // Score every candidate first and apply in ascending order of
         // imperfect degree: perfect mergers must never be preempted by
         // a looser merger that happens to be discovered earlier (a
@@ -332,7 +285,7 @@ pub fn merge_tree<T: Default, S: AsRef<str>>(
                         continue;
                     };
                     let d = imperfect_degree(&m, &refs, universe);
-                    if d <= cfg.max_degree {
+                    if d <= max_degree {
                         scored.push((d, m, live));
                     }
                 }
@@ -341,11 +294,11 @@ pub fn merge_tree<T: Default, S: AsRef<str>>(
                         continue;
                     }
                     let (xa, xb) = (tree.xpe(a).clone(), tree.xpe(b).clone());
-                    let Some(m) = try_merge_pair(&xa, &xb, cfg) else {
+                    let Some(m) = try_merge_pair(&xa, &xb) else {
                         continue;
                     };
                     let d = imperfect_degree(&m, &[&xa, &xb], universe);
-                    if d <= cfg.max_degree {
+                    if d <= max_degree {
                         scored.push((d, m, vec![a, b]));
                     }
                 }
@@ -400,7 +353,7 @@ enum MergeCandidate {
 
 /// Signature-based candidate discovery for rules 1 and 2 plus a
 /// bounded prefix-bucket scan for rule 3.
-fn find_candidates<T>(tree: &SubscriptionTree<T>, cfg: &MergeConfig) -> Vec<MergeCandidate> {
+fn find_candidates<T>(tree: &SubscriptionTree<T>) -> Vec<MergeCandidate> {
     let mut out = Vec::new();
     let roots: Vec<NodeId> = tree.roots().to_vec();
 
@@ -424,52 +377,48 @@ fn find_candidates<T>(tree: &SubscriptionTree<T>, cfg: &MergeConfig) -> Vec<Merg
 
     // Rule 2 signatures: additionally mask one axis position; members
     // merge pairwise.
-    if cfg.rule2 {
-        let mut sig_groups: HashMap<u64, Vec<NodeId>> = HashMap::new();
-        for &id in &roots {
-            let x = tree.xpe(id);
-            for mask_test in 0..x.len() {
-                for mask_axis in 0..x.len() {
-                    let sig = signature(x, Some(mask_test), Some(mask_axis));
-                    sig_groups.entry(sig).or_default().push(id);
-                }
+    let mut sig_groups: HashMap<u64, Vec<NodeId>> = HashMap::new();
+    for &id in &roots {
+        let x = tree.xpe(id);
+        for mask_test in 0..x.len() {
+            for mask_axis in 0..x.len() {
+                let sig = signature(x, Some(mask_test), Some(mask_axis));
+                sig_groups.entry(sig).or_default().push(id);
             }
         }
-        for group in sig_groups.into_values() {
-            if group.len() < 2 {
-                continue;
-            }
-            // Pair consecutive members; later rounds pick up the rest.
-            for w in group.windows(2) {
-                if w[0] != w[1] {
-                    out.push(MergeCandidate::Pair(w[0], w[1]));
-                }
+    }
+    for group in sig_groups.into_values() {
+        if group.len() < 2 {
+            continue;
+        }
+        // Pair consecutive members; later rounds pick up the rest.
+        for w in group.windows(2) {
+            if w[0] != w[1] {
+                out.push(MergeCandidate::Pair(w[0], w[1]));
             }
         }
     }
 
     // Rule 3: bucket by (absoluteness, first two steps), scan small
     // buckets pairwise.
-    if cfg.rule3 {
-        let mut buckets: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for &id in &roots {
-            let x = tree.xpe(id);
-            let key = format!(
-                "{}|{:?}",
-                x.is_absolute(),
-                x.steps().iter().take(2).collect::<Vec<_>>()
-            );
-            buckets.entry(key).or_default().push(id);
+    let mut buckets: HashMap<String, Vec<NodeId>> = HashMap::new();
+    for &id in &roots {
+        let x = tree.xpe(id);
+        let key = format!(
+            "{}|{:?}",
+            x.is_absolute(),
+            x.steps().iter().take(2).collect::<Vec<_>>()
+        );
+        buckets.entry(key).or_default().push(id);
+    }
+    const BUCKET_CAP: usize = 24;
+    for bucket in buckets.into_values() {
+        if bucket.len() < 2 || bucket.len() > BUCKET_CAP {
+            continue;
         }
-        const BUCKET_CAP: usize = 24;
-        for bucket in buckets.into_values() {
-            if bucket.len() < 2 || bucket.len() > BUCKET_CAP {
-                continue;
-            }
-            for i in 0..bucket.len() {
-                for j in i + 1..bucket.len() {
-                    out.push(MergeCandidate::Pair(bucket[i], bucket[j]));
-                }
+        for i in 0..bucket.len() {
+            for j in i + 1..bucket.len() {
+                out.push(MergeCandidate::Pair(bucket[i], bucket[j]));
             }
         }
     }
@@ -587,16 +536,11 @@ mod tests {
 
     #[test]
     fn pair_skips_covering_pairs() {
-        let cfg = MergeConfig::default();
-        assert!(try_merge_pair(&xpe("/a/*"), &xpe("/a/b"), &cfg).is_none());
+        assert!(try_merge_pair(&xpe("/a/*"), &xpe("/a/b")).is_none());
     }
 
     #[test]
     fn all_mergers_cover_inputs() {
-        let cfg = MergeConfig {
-            rule3_min_shared: 0.0,
-            ..Default::default()
-        };
         let cases = [
             ("/a/b/c", "/a/b/d"),
             ("/a/b/c", "/a//b/d"),
@@ -605,7 +549,13 @@ mod tests {
         ];
         for (a, b) in cases {
             let (s1, s2) = (xpe(a), xpe(b));
-            if let Some(m) = try_merge_pair(&s1, &s2, &cfg) {
+            let mut mergers: Vec<Xpe> = try_merge_pair(&s1, &s2).into_iter().collect();
+            // Rule 3 at any shared fraction, on a pair `try_merge_pair`
+            // would hand it.
+            if !covers(&s1, &s2) && !covers(&s2, &s1) {
+                mergers.extend(try_merge_rule3(&s1, &s2, 0.0));
+            }
+            for m in mergers {
                 assert!(covers(&m, &s1), "{m} must cover {a}");
                 assert!(covers(&m, &s2), "{m} must cover {b}");
             }
@@ -664,11 +614,7 @@ mod tests {
             t.insert(xpe(&format!("/a/b/{y}")), vec![]);
         }
         assert_eq!(t.root_count(), 4);
-        let cfg = MergeConfig {
-            max_degree: 0.0,
-            ..Default::default()
-        };
-        let report = merge_tree(&mut t, &universe(), &cfg);
+        let report = merge_tree(&mut t, &universe(), 0.0);
         assert!(!report.mergers.is_empty());
         assert_eq!(t.root_count(), 1, "all four merge into /a/b/*");
         t.check_invariants().unwrap();
@@ -680,18 +626,10 @@ mod tests {
         t.insert(xpe("/a/b/d"), vec![]);
         t.insert(xpe("/a/b/e"), vec![]);
         // /a/b/* would select 4 paths, the originals 2 → degree 0.5.
-        let strict = MergeConfig {
-            max_degree: 0.1,
-            ..Default::default()
-        };
-        let report = merge_tree(&mut t, &universe(), &strict);
+        let report = merge_tree(&mut t, &universe(), 0.1);
         assert!(report.mergers.is_empty());
         assert_eq!(t.root_count(), 2);
-        let loose = MergeConfig {
-            max_degree: 0.6,
-            ..Default::default()
-        };
-        let report = merge_tree(&mut t, &universe(), &loose);
+        let report = merge_tree(&mut t, &universe(), 0.6);
         assert_eq!(report.mergers.len(), 1);
         assert_eq!(t.root_count(), 1);
     }
@@ -707,11 +645,7 @@ mod tests {
         for (x, y) in [("c", "b"), ("c", "c"), ("c", "d"), ("c", "e")] {
             t.insert(xpe(&format!("/a/{x}/{y}")), vec![]);
         }
-        let cfg = MergeConfig {
-            max_degree: 0.5,
-            ..Default::default()
-        };
-        merge_tree(&mut t, &universe(), &cfg);
+        merge_tree(&mut t, &universe(), 0.5);
         assert!(
             t.root_count() <= 2,
             "root count {} after cascade",

@@ -54,10 +54,9 @@ impl fmt::Display for SubId {
 /// client handle, …).
 ///
 /// The entries are the table (sync export, the routing signature,
-/// [`Srt::compact`], unadvertise); matching runs on an index beside
-/// them, one automaton per last hop (the `advnfa` module), searched on
-/// scratch the table owns. The scratch makes the table `Send` but not
-/// `Sync`.
+/// unadvertise); matching runs on an index beside them, one automaton
+/// per last hop (the `advnfa` module), searched on scratch the table
+/// owns. The scratch makes the table `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct Srt<H> {
     entries: HashMap<AdvId, (Advertisement, H)>,
@@ -184,59 +183,6 @@ impl<H: Clone + Ord> Srt<H> {
     pub fn iter(&self) -> impl Iterator<Item = (AdvId, &Advertisement, &H)> {
         self.entries.iter().map(|(&id, (adv, hop))| (id, adv, hop))
     }
-
-    /// Compacts the table by dropping non-recursive advertisements
-    /// covered by another non-recursive advertisement **from the same
-    /// last hop** (§4.2 notes advertisement covering works like
-    /// subscription covering). Routing is unchanged: `P(a2) ⊆ P(a1)`
-    /// means every subscription overlapping `a2` overlaps `a1`, and the
-    /// hop — the routing answer — is identical. The hops that lost
-    /// entries rebuild their automatons. Returns the number of entries
-    /// removed.
-    pub fn compact(&mut self) -> usize {
-        let mut ids: Vec<AdvId> = self.entries.keys().copied().collect();
-        ids.sort();
-        let mut dropped = Vec::new();
-        for &a in &ids {
-            let Some((adv_a, ha)) = self.entries.get(&a) else {
-                continue;
-            };
-            let Some(path_a) = adv_a.as_non_recursive() else {
-                continue;
-            };
-            let covered = ids.iter().any(|&b| {
-                if a == b || dropped.contains(&b) {
-                    return false;
-                }
-                let Some((adv_b, hb)) = self.entries.get(&b) else {
-                    return false;
-                };
-                if ha != hb {
-                    return false;
-                }
-                let Some(path_b) = adv_b.as_non_recursive() else {
-                    return false;
-                };
-                // Equal advertisements tie-break on id so exactly one
-                // survives.
-                crate::advmatch::adv_covers(path_b, path_a)
-                    && !(crate::advmatch::adv_covers(path_a, path_b) && b > a)
-            });
-            if covered {
-                dropped.push(a);
-            }
-        }
-        let mut touched = BTreeSet::new();
-        for id in &dropped {
-            if let Some((_, hop)) = self.entries.remove(id) {
-                touched.insert(hop);
-            }
-        }
-        for hop in &touched {
-            self.rebuild(hop);
-        }
-        dropped.len()
-    }
 }
 
 /// The publication routing table abstraction: everything a broker needs
@@ -306,13 +252,13 @@ pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
         out
     }
 
-    /// Runs the merging engine (§4.3) if the strategy supports it.
-    /// Non-covering tables have nothing to merge and return no
-    /// applications.
+    /// Runs the merging engine (§4.3) up to imperfect degree
+    /// `max_degree` if the strategy supports it. Non-covering tables
+    /// have nothing to merge and return no applications.
     fn apply_merging(
         &mut self,
         _universe: &[Vec<String>],
-        _cfg: &crate::merge::MergeConfig,
+        _max_degree: f64,
         _next_id: &mut dyn FnMut() -> SubId,
     ) -> Vec<MergeApplication> {
         Vec::new()
@@ -467,17 +413,19 @@ impl<H: Clone + Ord> Prt<H> {
         self.tree.root_count()
     }
 
-    /// Runs the merging engine (§4.3) over the table and returns, for
-    /// each merger created, the subscription to issue upstream and the
-    /// absorbed subscriptions to retract. `next_id` supplies fresh ids
-    /// for the synthetic merger subscriptions.
+    /// Runs the merging engine (§4.3) over the table, admitting
+    /// mergers up to imperfect degree `max_degree` (`0.0`: perfect
+    /// only), and returns, for each merger created, the subscription
+    /// to issue upstream and the absorbed subscriptions to retract.
+    /// `next_id` supplies fresh ids for the synthetic merger
+    /// subscriptions.
     pub fn apply_merging<S: AsRef<str>>(
         &mut self,
         universe: &[Vec<S>],
-        cfg: &crate::merge::MergeConfig,
+        max_degree: f64,
         mut next_id: impl FnMut() -> SubId,
     ) -> Vec<MergeApplication> {
-        let report = crate::merge::merge_tree(&mut self.tree, universe, cfg);
+        let report = crate::merge::merge_tree(&mut self.tree, universe, max_degree);
         let mut out = Vec::new();
         for (node, demoted) in report.mergers {
             let merger_id = next_id();
@@ -662,10 +610,10 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
     fn apply_merging(
         &mut self,
         universe: &[Vec<String>],
-        cfg: &crate::merge::MergeConfig,
+        max_degree: f64,
         next_id: &mut dyn FnMut() -> SubId,
     ) -> Vec<MergeApplication> {
-        Prt::apply_merging(self, universe, cfg, next_id)
+        Prt::apply_merging(self, universe, max_degree, next_id)
     }
 }
 
@@ -921,9 +869,7 @@ mod tests {
         prt.insert(SubId(1), xpe("/a/b"), "h1");
         prt.insert(SubId(2), xpe("/a/c"), "h2");
         let universe = [path(&["a", "b"]), path(&["a", "c"])];
-        let applied = prt.apply_merging(&universe, &crate::merge::MergeConfig::default(), || {
-            SubId(100)
-        });
+        let applied = prt.apply_merging(&universe, 0.0, || SubId(100));
         assert_eq!(applied.len(), 1);
         assert_eq!(applied[0].xpe, xpe("/a/*"));
         let hops = |prt: &Prt<&'static str>, p: &[&str]| -> Vec<&'static str> {
@@ -1014,56 +960,5 @@ mod tests {
                 "divergence on {p:?}"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod compact_tests {
-    use super::*;
-    use crate::adv::AdvPath;
-
-    fn adv(names: &[&str]) -> Advertisement {
-        Advertisement::non_recursive(AdvPath::from_names(names))
-    }
-
-    #[test]
-    fn compact_drops_covered_same_hop() {
-        let mut srt = Srt::new();
-        srt.insert(AdvId(1), adv(&["a", "*"]), "n1");
-        srt.insert(AdvId(2), adv(&["a", "b"]), "n1");
-        srt.insert(AdvId(3), adv(&["a", "b"]), "n2"); // different hop: kept
-        let removed = srt.compact();
-        assert_eq!(removed, 1);
-        assert_eq!(srt.len(), 2);
-        // Routing unchanged for the sub that only overlapped the
-        // dropped advertisement.
-        let hops = srt.match_sub(&"/a/b".parse().unwrap());
-        assert_eq!(hops.len(), 2);
-    }
-
-    #[test]
-    fn compact_keeps_one_of_equal_pair() {
-        let mut srt = Srt::new();
-        srt.insert(AdvId(1), adv(&["x", "y"]), "n1");
-        srt.insert(AdvId(2), adv(&["x", "y"]), "n1");
-        assert_eq!(srt.compact(), 1);
-        assert_eq!(srt.len(), 1);
-    }
-
-    #[test]
-    fn compact_ignores_recursive() {
-        let mut srt = Srt::new();
-        srt.insert(AdvId(1), Advertisement::parse("/a(/b)+/c").unwrap(), "n1");
-        srt.insert(AdvId(2), Advertisement::parse("/a(/b)+/c").unwrap(), "n1");
-        assert_eq!(srt.compact(), 0, "recursive advertisements are left alone");
-    }
-
-    #[test]
-    fn compact_empty_and_singleton() {
-        let mut srt: Srt<&str> = Srt::new();
-        assert_eq!(srt.compact(), 0);
-        srt.insert(AdvId(1), adv(&["a"]), "n1");
-        assert_eq!(srt.compact(), 0);
-        assert_eq!(srt.len(), 1);
     }
 }

@@ -353,21 +353,11 @@ impl<T> SubscriptionTree<T> {
         (data.payload, promoted)
     }
 
-    /// The first top-level subscription covering `xpe`, if any. Because
-    /// covering is transitive along tree edges, `xpe` is covered by
-    /// *some* stored subscription iff it is covered by a top-level one.
-    pub fn find_root_coverer(&self, xpe: &Xpe) -> Option<NodeId> {
-        self.root_coverer(xpe, CoverSig::of(xpe))
-    }
-
-    /// All top-level subscriptions covered by `xpe` — the set to
-    /// unsubscribe downstream when `xpe` takes over — in `roots` order.
-    pub fn find_covered_roots(&self, xpe: &Xpe) -> Vec<NodeId> {
-        self.covered_roots(xpe, CoverSig::of(xpe))
-    }
-
-    /// [`Self::find_root_coverer`], given `xpe`'s signature. Searches the
-    /// buckets that may hold a coverer: floating, same name, then `*`.
+    /// The first top-level subscription covering `xpe` (whose signature
+    /// is `sig`), if any. Because covering is transitive along tree
+    /// edges, `xpe` is covered by *some* stored subscription iff it is
+    /// covered by a top-level one. Searches the buckets that may hold a
+    /// coverer: floating, same name, then `*`.
     fn root_coverer(&self, xpe: &Xpe, sig: CoverSig) -> Option<NodeId> {
         let (named, wild): (&[NodeId], &[NodeId]) = match root_key(xpe) {
             RootKey::Name(n) => (self.name_bucket(n), &self.wild_roots),
@@ -382,9 +372,11 @@ impl<T> SubscriptionTree<T> {
             .find(|&id| self.node_covers(id, xpe, sig))
     }
 
-    /// [`Self::find_covered_roots`], given `xpe`'s signature. A
-    /// name-anchored `xpe` covers only roots in its own bucket, a
-    /// `*`-headed one only root-anchored roots, a floating one any root.
+    /// All top-level subscriptions covered by `xpe` (whose signature is
+    /// `sig`) — the set to unsubscribe downstream when `xpe` takes over
+    /// — in `roots` order. A name-anchored `xpe` covers only roots in
+    /// its own bucket, a `*`-headed one only root-anchored roots, a
+    /// floating one any root.
     fn covered_roots(&self, xpe: &Xpe, sig: CoverSig) -> Vec<NodeId> {
         let key = root_key(xpe);
         let candidates = match key {

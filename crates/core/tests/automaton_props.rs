@@ -10,7 +10,6 @@
 
 use proptest::prelude::*;
 use xdn_core::automaton::AutomatonPrt;
-use xdn_core::merge::MergeConfig;
 use xdn_core::rtable::{FlatPrt, Prt, PublicationRouter, SubId};
 use xdn_xpath::{Axis, NodeTest, Predicate, Step, Xpe};
 
@@ -308,8 +307,7 @@ proptest! {
                 t.check(&p)?;
             }
             if let Some(max_degree) = degree {
-                let cfg = MergeConfig { max_degree, ..MergeConfig::default() };
-                let applied = t.covering.apply_merging(&universe, &cfg, || {
+                let applied = t.covering.apply_merging(&universe, max_degree, || {
                     merger_ids += 1;
                     SubId(merger_ids)
                 });

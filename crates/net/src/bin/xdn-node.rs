@@ -38,24 +38,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Strategy names compared on letters and digits only, so the CLI's
-/// `with-adv-with-cov-pm` finds the canonical `with-Adv-with-CovPM`.
-fn strategy_by_name(name: &str) -> Option<RoutingConfig> {
-    let wanted = canon(name);
-    RoutingConfig::all_strategies()
-        .into_iter()
-        .find(|(n, _)| canon(n) == wanted)
-        .map(|(_, cfg)| cfg)
-}
-
-/// Case/punctuation-insensitive name comparison key.
-fn canon(s: &str) -> String {
-    s.chars()
-        .filter(char::is_ascii_alphanumeric)
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut id: Option<u32> = None;
@@ -97,7 +79,7 @@ fn main() {
             }
             "--strategy" => {
                 i += 1;
-                match args.get(i).and_then(|s| strategy_by_name(s)) {
+                match args.get(i).and_then(|s| RoutingConfig::by_name(s)) {
                     Some(cfg) => strategy = cfg,
                     None => usage(),
                 }

@@ -21,6 +21,11 @@ use xdn_xml::paths::{dedup_paths, extract_paths};
 use xdn_xml::{DocId, Document};
 use xdn_xpath::Xpe;
 
+/// Grace period between a repair and the replay of parked events. It
+/// exceeds the sync round-trip, so the recovered routing state is in
+/// place before buffered publications arrive.
+const RECOVERY_FLUSH_DELAY: Duration = Duration::from_millis(5);
+
 /// How much virtual time broker compute adds to the simulated clock.
 /// Both models are deterministic: wall-clock time never enters the
 /// simulation, so identical runs report identical delays.
@@ -112,9 +117,6 @@ pub struct Network {
     /// Capacity of [`Network::parked`]; overflow evicts publications
     /// before control messages.
     park_capacity: usize,
-    /// Grace period between a repair and the replay of parked events,
-    /// leaving the sync exchange time to rebuild routing state.
-    recovery_flush_delay: Duration,
 }
 
 impl std::fmt::Debug for Network {
@@ -149,7 +151,6 @@ impl Network {
             dropped_links: std::collections::BTreeSet::new(),
             parked: std::collections::VecDeque::new(),
             park_capacity: 4096,
-            recovery_flush_delay: Duration::from_millis(5),
         }
     }
 
@@ -267,13 +268,6 @@ impl Network {
     /// messages (mirroring the TCP supervisor's queue policy).
     pub fn set_park_capacity(&mut self, capacity: usize) {
         self.park_capacity = capacity;
-    }
-
-    /// Sets the grace period between a repair and the replay of parked
-    /// events. It must exceed the sync round-trip so the recovered
-    /// routing state is in place before buffered publications arrive.
-    pub fn set_recovery_flush_delay(&mut self, delay: Duration) {
-        self.recovery_flush_delay = delay;
     }
 
     /// Crashes a broker: its routing state is lost and every message
@@ -405,7 +399,7 @@ impl Network {
     }
 
     fn flush_parked(&mut self, reason: FaultReason) {
-        let at = self.now + self.recovery_flush_delay;
+        let at = self.now + RECOVERY_FLUSH_DELAY;
         let mut rest = std::collections::VecDeque::new();
         while let Some(p) = self.parked.pop_front() {
             if p.reason == reason {

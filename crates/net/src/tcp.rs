@@ -1302,11 +1302,16 @@ impl TcpClient {
     ///
     /// # Errors
     ///
+    /// Returns an `InvalidInput` error, having sent nothing and kept the
+    /// connection usable, if the message does not fit the wire format
+    /// ([`wire::encode_checked`]); the node would drop the connection.
     /// Returns an error if the socket write fails.
     pub fn send(&mut self, msg: &Message) -> Result<(), TcpError> {
         let mut buf = wire::pool_acquire();
-        wire::encode_into(msg, &mut buf);
-        let res = self.writer.write_all(&buf);
+        let res = match wire::encode_checked(msg, &mut buf) {
+            Ok(()) => self.writer.write_all(&buf),
+            Err(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, e)),
+        };
         wire::pool_release(buf);
         res?;
         Ok(())
@@ -1643,6 +1648,48 @@ mod tests {
             text.contains("# TYPE xdn_automaton_rebuild_seconds histogram\n"),
             "{text}"
         );
+        n.shutdown();
+    }
+
+    #[test]
+    fn unencodable_publication_is_refused_and_the_connection_survives() {
+        let n = TcpNode::start(
+            BrokerId(0),
+            RoutingConfig::builder().build(),
+            ephemeral(),
+            &[],
+        )
+        .expect("node");
+        let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
+        let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
+        subscriber
+            .send(&Message::subscribe(SubId(1), "/a".parse().expect("xpe")))
+            .expect("subscribe");
+        assert!(n.await_state(Duration::from_secs(5), |s| s
+            .stats
+            .received_of(MessageKind::Subscribe)
+            >= 1));
+        // Legal XML the codec cannot carry: a 70,000-byte attribute
+        // value overflows its u16 string prefix, and three elements
+        // with 100 values of 65,535 bytes each make a frame over
+        // MAX_FRAME_BYTES.
+        let value = |n: usize| ("v".to_owned(), "x".repeat(n));
+        let unencodable = [vec![vec![value(70_000)]], vec![vec![value(65_535); 100]; 3]];
+        for (doc, attributes) in (1..).zip(unencodable) {
+            let Message::Publish(mut p) = publication(&["a", "b", "c"], doc) else {
+                unreachable!("publication() builds a Publish");
+            };
+            p.attributes = attributes;
+            match publisher.send(&Message::Publish(p)) {
+                Err(TcpError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+                Ok(()) => panic!("unencodable document {doc} was sent"),
+            }
+        }
+        publisher.send(&publication(&["a"], 3)).expect("publish");
+        match subscriber.recv_timeout(Duration::from_secs(5)) {
+            Some(Message::Publish(p)) => assert_eq!(p.doc_id, DocId(3)),
+            other => panic!("expected document 3, got {other:?}"),
+        }
         n.shutdown();
     }
 

@@ -1,11 +1,10 @@
-//! Transport-neutral metric snapshots and their text exporters.
+//! Transport-neutral metric snapshots and their text exporter.
 //!
 //! Layers assemble [`MetricFamily`] values (from a `BrokerStats` or
 //! ad-hoc gauges like queue depths) and hand them to
-//! [`render_prometheus`] or [`render_json`]. The Prometheus text
-//! format is the one `xdn-node` serves on its control socket; the
-//! format is covered by a golden snapshot test, so changes here are
-//! deliberate.
+//! [`render_prometheus`]. The Prometheus text format is the one
+//! `xdn-node` serves on its control socket; the format is covered by a
+//! golden snapshot test, so changes here are deliberate.
 
 use crate::hist::Histogram;
 use std::fmt::Write as _;
@@ -164,84 +163,6 @@ pub fn render_prometheus(families: &[MetricFamily]) -> String {
     out
 }
 
-/// Renders families as one JSON object: `{"name": {"labels…": value}}`
-/// with histograms summarised as count/sum/mean/p50/p95/p99 (seconds).
-/// Meant for quick machine consumption in tests and scripts, not as a
-/// stable wire format.
-pub fn render_json(families: &[MetricFamily]) -> String {
-    let mut out = String::from("{");
-    let mut first_family = true;
-    for family in families {
-        if !first_family {
-            out.push(',');
-        }
-        first_family = false;
-        let _ = write!(out, "{}:[", json_string(&family.name));
-        let mut first_sample = true;
-        for sample in &family.samples {
-            if !first_sample {
-                out.push(',');
-            }
-            first_sample = false;
-            out.push_str("{\"labels\":{");
-            let mut first_label = true;
-            for (k, v) in &sample.labels {
-                if !first_label {
-                    out.push(',');
-                }
-                first_label = false;
-                let _ = write!(out, "{}:{}", json_string(k), json_string(v));
-            }
-            out.push_str("},\"value\":");
-            match &sample.data {
-                MetricData::Counter(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                MetricData::Gauge(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                MetricData::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                        h.count(),
-                        fmt_seconds(h.sum_ns()),
-                        fmt_seconds(h.mean().as_nanos()),
-                        fmt_seconds(h.p50().as_nanos()),
-                        fmt_seconds(h.p95().as_nanos()),
-                        fmt_seconds(h.p99().as_nanos()),
-                    );
-                }
-            }
-            out.push('}');
-        }
-        out.push(']');
-    }
-    out.push('}');
-    out
-}
-
-/// Escapes a string for embedding in JSON output.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats nanoseconds as decimal seconds with no trailing zeros
 /// (`1000` → `0.000001`, `5_000_000_000` → `5`). Deterministic — no
 /// float formatting — so golden tests stay byte-stable.
@@ -326,16 +247,5 @@ mod tests {
         assert!(text.contains("xdn_lat_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("xdn_lat_sum 0.000006\n"));
         assert!(text.contains("xdn_lat_count 2\n"));
-    }
-
-    #[test]
-    fn json_escapes_and_summarises() {
-        let mut fam = MetricFamily::new("m", "");
-        fam.push(&[("peer", "a\"b")], MetricData::Gauge(-2));
-        let json = render_json(&[fam]);
-        assert_eq!(
-            json,
-            "{\"m\":[{\"labels\":{\"peer\":\"a\\\"b\"},\"value\":-2}]}"
-        );
     }
 }

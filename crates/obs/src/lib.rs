@@ -14,10 +14,10 @@
 //!   `BrokerStats` and silently truncated their divisors to `u32`.
 //! * [`Tracer`] — a zero-cost-when-disabled structured trace-event API.
 //!   Brokers hold an `Option<Arc<dyn Tracer>>`; the disabled path is a
-//!   single branch on `None`. [`CollectingTracer`] backs tests,
-//!   [`JsonLinesTracer`] streams events to any `io::Write`.
-//! * [`MetricFamily`] + [`render_prometheus`] / [`render_json`] — a
-//!   transport-neutral snapshot model and its text exporters, served by
+//!   single branch on `None`. [`CollectingTracer`] buffers events in
+//!   memory.
+//! * [`MetricFamily`] + [`render_prometheus`] — a transport-neutral
+//!   snapshot model and its Prometheus text exporter, served by
 //!   `xdn-node` over its control socket.
 //!
 //! Timing itself goes through [`Stopwatch`] so hot paths never call
@@ -32,7 +32,7 @@ pub mod trace;
 
 mod time;
 
-pub use export::{render_json, render_prometheus, MetricData, MetricFamily, Sample};
+pub use export::{render_prometheus, MetricData, MetricFamily, Sample};
 pub use hist::Histogram;
 pub use time::Stopwatch;
-pub use trace::{CollectingTracer, JsonLinesTracer, NullTracer, TraceEvent, Tracer};
+pub use trace::{CollectingTracer, TraceEvent, Tracer};

@@ -16,7 +16,6 @@
 //! | `pub.route`    | document      | matched hops     | span time  |
 //! | `pub.deliver`  | document      | client id        | 0          |
 
-use std::io::Write;
 use std::sync::{Mutex, PoisonError};
 
 /// One structured trace event.
@@ -67,19 +66,6 @@ impl TraceEvent {
             nanos,
         }
     }
-
-    /// The event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":{},\"broker\":{},\"kind\":{},\"id\":{},\"value\":{},\"nanos\":{}}}",
-            crate::export::json_string(self.name),
-            self.broker,
-            crate::export::json_string(self.kind),
-            self.id,
-            self.value,
-            self.nanos
-        )
-    }
 }
 
 /// A sink for trace events. Implementations must be cheap and
@@ -88,16 +74,6 @@ impl TraceEvent {
 pub trait Tracer: Send + Sync {
     /// Records one event.
     fn record(&self, event: &TraceEvent);
-}
-
-/// Discards every event. Useful where an API wants *a* tracer; where
-/// possible prefer `Option<Arc<dyn Tracer>>` = `None`, which skips
-/// event construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn record(&self, _event: &TraceEvent) {}
 }
 
 /// Buffers events in memory — the test workhorse.
@@ -142,52 +118,6 @@ impl Tracer for CollectingTracer {
     }
 }
 
-/// Streams events as JSON lines to any writer (a file, a pipe,
-/// `Vec<u8>` in tests). Write errors are counted, not propagated — a
-/// full disk must not take down routing.
-#[derive(Debug)]
-pub struct JsonLinesTracer<W: Write + Send> {
-    writer: Mutex<W>,
-    errors: std::sync::atomic::AtomicU64,
-}
-
-impl<W: Write + Send> JsonLinesTracer<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonLinesTracer {
-            writer: Mutex::new(writer),
-            errors: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Number of write errors swallowed so far.
-    pub fn write_errors(&self) -> u64 {
-        self.errors.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(self) -> W {
-        let mut w = self
-            .writer
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let _ = w.flush();
-        w
-    }
-}
-
-impl<W: Write + Send> Tracer for JsonLinesTracer<W> {
-    fn record(&self, event: &TraceEvent) {
-        let mut line = event.to_json();
-        line.push('\n');
-        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        if w.write_all(line.as_bytes()).is_err() {
-            self.errors
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,27 +133,5 @@ mod tests {
         assert_eq!(routes[0].nanos, 1500);
         assert_eq!(t.take().len(), 2);
         assert!(t.snapshot().is_empty());
-    }
-
-    #[test]
-    fn json_lines_are_one_object_per_line() {
-        let t = JsonLinesTracer::new(Vec::new());
-        t.record(&TraceEvent::point("sub.process", 3, "subscribe", 11, 0));
-        t.record(&TraceEvent::point("pub.deliver", 3, "publish", 5, 9));
-        let buf = t.into_inner();
-        let text = String::from_utf8(buf).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"name\":\"sub.process\",\"broker\":3,\"kind\":\"subscribe\",\"id\":11,\"value\":0,\"nanos\":0}"
-        );
-        assert!(lines[1].contains("\"pub.deliver\""));
-    }
-
-    #[test]
-    fn null_tracer_is_object_safe() {
-        let t: std::sync::Arc<dyn Tracer> = std::sync::Arc::new(NullTracer);
-        t.record(&TraceEvent::point("x", 0, "", 0, 0));
     }
 }

@@ -1,11 +1,9 @@
-//! Workload analysis: query-set statistics and DTD-based selectivity.
+//! Workload analysis: query-set statistics.
 //!
-//! The evaluation narrative depends on workload properties — covering
-//! rate, wildcard density, selectivity against the producer's DTD.
-//! This module computes them, both for the repro harness's workload
-//! summaries and for users tuning their own query sets.
+//! The evaluation narrative depends on workload properties — query
+//! length, wildcard and descendant density. This module computes them
+//! for the repro harness's workload summaries.
 
-use xdn_xml::dtd::Dtd;
 use xdn_xpath::{Axis, Xpe};
 
 /// Descriptive statistics of a query set.
@@ -68,39 +66,10 @@ pub fn query_set_stats(queries: &[Xpe]) -> QuerySetStats {
     }
 }
 
-/// Estimates a query's selectivity against a DTD: the fraction of the
-/// DTD's (bounded) path universe the query matches. Lower is more
-/// selective. The same universe drives the imperfect-merging degree
-/// (§4.3), so `selectivity(merger) −  selectivity-union(parts)` is the
-/// false-positive mass a merger adds.
-pub fn selectivity(query: &Xpe, dtd: &Dtd) -> f64 {
-    let universe = crate::universe(dtd);
-    if universe.is_empty() {
-        return 0.0;
-    }
-    let hits = universe.iter().filter(|p| query.matches_path(p)).count();
-    hits as f64 / universe.len() as f64
-}
-
-/// Selectivity of several queries against a shared, precomputed
-/// universe (avoids re-enumerating the DTD per query).
-pub fn selectivities<S: AsRef<str>>(queries: &[Xpe], universe: &[Vec<S>]) -> Vec<f64> {
-    queries
-        .iter()
-        .map(|q| {
-            if universe.is_empty() {
-                0.0
-            } else {
-                universe.iter().filter(|p| q.matches_path(p)).count() as f64 / universe.len() as f64
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{nitf_dtd, psd_dtd, sets};
+    use crate::{nitf_dtd, sets};
 
     fn xpe(s: &str) -> Xpe {
         s.parse().unwrap()
@@ -141,28 +110,5 @@ mod tests {
             sb.wildcard_rate
         );
         assert!(sa.descendant_rate >= sb.descendant_rate);
-    }
-
-    #[test]
-    fn selectivity_orders_generality() {
-        let dtd = psd_dtd();
-        let root = selectivity(&xpe("/ProteinDatabase"), &dtd);
-        let entry = selectivity(&xpe("/ProteinDatabase/ProteinEntry/header"), &dtd);
-        let leaf = selectivity(&xpe("/ProteinDatabase/ProteinEntry/header/uid"), &dtd);
-        assert_eq!(root, 1.0, "the root matches every path");
-        assert!(root > entry && entry >= leaf);
-        assert!(leaf > 0.0);
-    }
-
-    #[test]
-    fn shared_universe_matches_single_calls() {
-        let dtd = psd_dtd();
-        let universe = crate::universe(&dtd);
-        let qs = vec![xpe("/ProteinDatabase"), xpe("//uid"), xpe("/nope")];
-        let batch = selectivities(&qs, &universe);
-        for (q, &s) in qs.iter().zip(&batch) {
-            assert!((selectivity(q, &dtd) - s).abs() < 1e-12);
-        }
-        assert_eq!(batch[2], 0.0);
     }
 }

@@ -12,9 +12,7 @@
 //!   the recursive advertisement forms `a1(a2)+a3`,
 //! * bounded root-to-leaf path enumeration
 //!   ([`Dtd::enumerate_paths`]), the universe over which perfect and
-//!   imperfect merging degrees are computed (§4.3),
-//! * per-depth element alphabets ([`Dtd::position_alphabet`]) used to
-//!   estimate false-positive rates of imperfect mergers.
+//!   imperfect merging degrees are computed (§4.3).
 
 use crate::error::{XmlError, XmlErrorKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -419,26 +417,6 @@ impl Dtd {
         }
         stack.pop();
     }
-
-    /// For each depth `0..max_depth`, the set of element names that can
-    /// occur at that depth (depth 0 is the root). Used to estimate the
-    /// false positives introduced by an imperfect merger (§4.3).
-    pub fn position_alphabet(&self, max_depth: usize) -> Vec<BTreeSet<String>> {
-        let mut levels: Vec<BTreeSet<String>> = vec![BTreeSet::new(); max_depth];
-        if max_depth == 0 {
-            return levels;
-        }
-        levels[0].insert(self.root.clone());
-        for d in 1..max_depth {
-            let prev = levels[d - 1].clone();
-            for name in prev {
-                for c in self.children_of(&name) {
-                    levels[d].insert(c.to_owned());
-                }
-            }
-        }
-        levels
-    }
 }
 
 struct DtdParser<'a> {
@@ -746,15 +724,6 @@ mod tests {
         let dtd = Dtd::parse("<!ELEMENT a (a?, b)><!ELEMENT b EMPTY>").unwrap();
         let paths = dtd.enumerate_paths(10, 5, 3);
         assert!(paths.len() <= 3);
-    }
-
-    #[test]
-    fn position_alphabet_levels() {
-        let dtd = sample();
-        let levels = dtd.position_alphabet(4);
-        assert_eq!(levels[0].iter().collect::<Vec<_>>(), vec!["doc"]);
-        assert!(levels[1].contains("head") && levels[1].contains("body"));
-        assert!(levels[2].contains("par") && levels[2].contains("body"));
     }
 
     #[test]

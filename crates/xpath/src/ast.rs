@@ -155,12 +155,6 @@ impl Step {
         }
     }
 
-    /// Adds a predicate (builder style).
-    pub fn with_predicate(mut self, p: Predicate) -> Self {
-        self.predicates.push(p);
-        self
-    }
-
     /// True if this step accepts `element` with `attrs`.
     pub fn accepts(&self, element: &str, attrs: &[(String, String)]) -> bool {
         self.test.accepts(element) && self.predicates.iter().all(|p| p.eval(attrs))
@@ -241,11 +235,6 @@ impl Xpe {
         // Relative XPEs carry `Child` on their (unanchored) first step,
         // so this uniformly means "no `//` operator anywhere".
         self.steps.iter().all(|s| s.axis == Axis::Child)
-    }
-
-    /// True if any step (respecting anchoring) uses the descendant axis.
-    pub fn has_descendant(&self) -> bool {
-        !self.is_simple()
     }
 
     /// True if any step is a wildcard.

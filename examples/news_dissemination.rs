@@ -9,7 +9,6 @@
 
 use rand::SeedableRng;
 use std::time::Instant;
-use xdn::core::merge::MergeConfig;
 use xdn::core::rtable::{FlatPrt, Prt, PublicationRouter, SubId};
 use xdn::workloads::{docs, nitf_dtd, sets, universe};
 
@@ -46,7 +45,7 @@ fn main() {
     // positives).
     let u = universe(&dtd);
     let mut seq = 1_000_000;
-    tree.apply_merging(&u, &MergeConfig::default(), || {
+    tree.apply_merging(&u, 0.0, || {
         seq += 1;
         SubId(seq)
     });

@@ -15,9 +15,9 @@
 
 use proptest::prelude::*;
 use xdn::core::adv::{AdvPath, AdvSegment, Advertisement};
-use xdn::core::advmatch::{adv_covers, adv_overlaps_sub, rel_expr_and_adv, PreparedAdv};
+use xdn::core::advmatch::{adv_overlaps_sub, rel_expr_and_adv, PreparedAdv};
 use xdn::core::cover::covers;
-use xdn::core::merge::{try_merge_pair, MergeConfig};
+use xdn::core::merge::{try_merge_pair, try_merge_rule3};
 use xdn::xpath::{Axis, NodeTest, Step, Xpe};
 
 const ALPHABET: &[&str] = &["a", "b", "c", "d"];
@@ -127,6 +127,17 @@ fn arb_advertisement() -> impl Strategy<Value = Advertisement> {
         })
 }
 
+/// The mergers of a pair: [`try_merge_pair`]'s, plus rule 3 at any
+/// shared fraction on a pair it would hand rule 3 (neither input
+/// covers the other).
+fn mergers(s1: &Xpe, s2: &Xpe) -> Vec<Xpe> {
+    let mut out: Vec<Xpe> = try_merge_pair(s1, s2).into_iter().collect();
+    if !covers(s1, s2) && !covers(s2, s1) {
+        out.extend(try_merge_rule3(s1, s2, 0.0));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -221,19 +232,10 @@ proptest! {
         );
     }
 
-    /// Advertisement covering is sound w.r.t. advertised paths.
-    #[test]
-    fn adv_covering_is_sound(a1 in arb_adv_path(), a2 in arb_adv_path(), path in arb_path()) {
-        if adv_covers(&a1, &a2) && a2.matches_path(&path) {
-            prop_assert!(a1.matches_path(&path));
-        }
-    }
-
     /// Every merger covers both of its inputs.
     #[test]
     fn mergers_cover_inputs(s1 in arb_xpe(), s2 in arb_xpe()) {
-        let cfg = MergeConfig { rule3_min_shared: 0.0, ..MergeConfig::default() };
-        if let Some(m) = try_merge_pair(&s1, &s2, &cfg) {
+        for m in mergers(&s1, &s2) {
             prop_assert!(covers(&m, &s1), "merger {m} does not cover {s1}");
             prop_assert!(covers(&m, &s2), "merger {m} does not cover {s2}");
         }
@@ -242,10 +244,9 @@ proptest! {
     /// Mergers never lose publications.
     #[test]
     fn mergers_preserve_matches(s1 in arb_xpe(), s2 in arb_xpe(), path in arb_path()) {
-        let cfg = MergeConfig { rule3_min_shared: 0.0, ..MergeConfig::default() };
-        if let Some(m) = try_merge_pair(&s1, &s2, &cfg) {
-            if s1.matches_path(&path) || s2.matches_path(&path) {
-                prop_assert!(m.matches_path(&path));
+        if s1.matches_path(&path) || s2.matches_path(&path) {
+            for m in mergers(&s1, &s2) {
+                prop_assert!(m.matches_path(&path), "merger {m} loses {path:?}");
             }
         }
     }

@@ -6,7 +6,6 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
-use xdn::core::merge::MergeConfig;
 use xdn::core::rtable::{FlatPrt, Prt, PublicationRouter, SubId};
 use xdn::workloads::{docs, nitf_dtd, psd_dtd, sets, universe};
 use xdn::xpath::generate::generate_distinct_xpes;
@@ -59,17 +58,10 @@ fn perfect_merging_routes_identically() {
         prt.insert(SubId(i as u64), q.clone(), i as u32);
     }
     let mut seq = 1_000_000u64;
-    prt.apply_merging(
-        &u,
-        &MergeConfig {
-            max_degree: 0.0,
-            ..Default::default()
-        },
-        || {
-            seq += 1;
-            SubId(seq)
-        },
-    );
+    prt.apply_merging(&u, 0.0, || {
+        seq += 1;
+        SubId(seq)
+    });
     for p in &pubs {
         assert_eq!(
             prt.matching_hops(p, &[]),
@@ -91,17 +83,10 @@ fn imperfect_merging_only_adds_hops() {
         prt.insert(SubId(i as u64), q.clone(), i as u32);
     }
     let mut seq = 1_000_000u64;
-    prt.apply_merging(
-        &u,
-        &MergeConfig {
-            max_degree: 0.2,
-            ..Default::default()
-        },
-        || {
-            seq += 1;
-            SubId(seq)
-        },
-    );
+    prt.apply_merging(&u, 0.2, || {
+        seq += 1;
+        SubId(seq)
+    });
     for p in &pubs {
         let truth: BTreeSet<u32> = flat.matching_hops(p, &[]);
         let got: BTreeSet<u32> = prt.matching_hops(p, &[]);

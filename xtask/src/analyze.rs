@@ -34,9 +34,9 @@ use std::path::{Path, PathBuf};
 const PANIC_ROOTS: &[(&str, &str)] = &[
     ("Broker", "handle*"),
     ("*", "matching_hops"),
-    ("OutboundLink", "wrap"),
+    ("OutboundLink", "wrap_frame"),
     ("OutboundLink", "on_ack"),
-    ("OutboundLink", "replay"),
+    ("OutboundLink", "replay_frames"),
     ("DedupWindow", "observe"),
 ];
 
@@ -716,8 +716,9 @@ fn protocol_pass(graph: &Graph<'_>, findings: &mut Vec<Finding>) -> ProtoStats {
     }
 
     // No nested Sequenced frames: construction is confined to the
-    // reliable/wire layer, and every wrap() caller must guard against
-    // already-sequenced frames.
+    // reliable/wire layer, and every wrap_frame() caller must guard
+    // against already-sequenced frames, by testing the frame's
+    // `seq_header()` or by matching on `Message::Sequenced`.
     for (fi, file) in files.iter().enumerate() {
         let builder = SEQUENCED_BUILDERS
             .iter()
@@ -726,12 +727,14 @@ fn protocol_pass(graph: &Graph<'_>, findings: &mut Vec<Finding>) -> ProtoStats {
             if def.is_test {
                 continue;
             }
-            let guarded = def.body.iter().any(|op| {
-                matches!(
-                    op,
-                    Op::PatVariant { enumeration, variant, .. }
-                        if enumeration == "Message" && variant == "Sequenced"
-                )
+            let guarded = def.body.iter().any(|op| match op {
+                Op::PatVariant {
+                    enumeration,
+                    variant,
+                    ..
+                } => enumeration == "Message" && variant == "Sequenced",
+                Op::MethodCall { name, .. } => name == "seq_header",
+                _ => false,
             });
             for op in &def.body {
                 match op {
@@ -755,7 +758,7 @@ fn protocol_pass(graph: &Graph<'_>, findings: &mut Vec<Finding>) -> ProtoStats {
                             ),
                         });
                     }
-                    Op::MethodCall { name, line, .. } if name == "wrap" && !builder => {
+                    Op::MethodCall { name, line, .. } if name == "wrap_frame" && !builder => {
                         let id = graph
                             .nodes
                             .iter()
@@ -771,8 +774,9 @@ fn protocol_pass(graph: &Graph<'_>, findings: &mut Vec<Finding>) -> ProtoStats {
                                 line: *line,
                                 rule: "protocol",
                                 message: format!(
-                                    "{} calls OutboundLink::wrap without matching on \
-                                     Message::Sequenced first (nested frames possible)",
+                                    "{} calls OutboundLink::wrap_frame without testing \
+                                     seq_header() or matching on Message::Sequenced first \
+                                     (nested frames possible)",
                                     def.qualified()
                                 ),
                             });

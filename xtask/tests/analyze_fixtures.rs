@@ -383,6 +383,51 @@ fn protocol_sequenced_outside_reliable_layer_is_reported() {
 }
 
 #[test]
+fn protocol_unguarded_wrap_frame_is_reported() {
+    let reliable: &str = "pub struct FrameBuf;\n\
+        pub struct OutboundLink;\n\
+        impl OutboundLink {\n\
+        \x20   pub fn wrap_frame(&mut self, frame: FrameBuf) -> FrameBuf {\n\
+        \x20       frame\n\
+        \x20   }\n\
+        }\n";
+    // The first caller tests the frame's header, as
+    // `Broker::wrap_outputs` does; the second wraps whatever it gets.
+    let relay: &str = "use crate::reliable::{FrameBuf, OutboundLink};\n\
+        pub fn guarded(link: &mut OutboundLink, frame: FrameBuf) -> FrameBuf {\n\
+        \x20   if frame.seq_header().is_none() {\n\
+        \x20       return link.wrap_frame(frame);\n\
+        \x20   }\n\
+        \x20   frame\n\
+        }\n\
+        pub fn unguarded(link: &mut OutboundLink, frame: FrameBuf) -> FrameBuf {\n\
+        \x20   link.wrap_frame(frame)\n\
+        }\n";
+    let root = fixture(
+        "protocol-unguarded-wrap-frame",
+        &[
+            ("crates/broker/src/message.rs", MESSAGE_OK),
+            ("crates/broker/src/wire.rs", WIRE_OK),
+            ("crates/broker/src/broker.rs", BROKER_OK),
+            ("crates/broker/src/reliable.rs", reliable),
+            ("crates/net/src/relay.rs", relay),
+        ],
+    );
+    let findings = run(&root);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, "protocol");
+    assert_eq!(f.file, Path::new("crates/net/src/relay.rs"));
+    assert_eq!(f.line, 9, "the unguarded call");
+    assert!(
+        f.message
+            .contains("unguarded calls OutboundLink::wrap_frame without testing seq_header()"),
+        "{}",
+        f.message
+    );
+}
+
+#[test]
 fn metric_drift_is_reported_in_both_directions() {
     let tcp: &str = "pub fn render() -> String {\n\
         \x20   let name = \"xdn_fixture_requests_total\";\n\
