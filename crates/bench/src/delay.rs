@@ -9,7 +9,7 @@
 //! the notification delay — drops (the paper reports up to 74 %).
 //!
 //! Per-hop compute is the simulator's modeled cost
-//! ([`xdn_net::sim::ProcessingModel::modeled`]), proportional to the
+//! ([`xdn_net::sim::ProcessingModel::Modeled`]), proportional to the
 //! effective routing-table size: the figures show how table size
 //! shapes delay, deterministically. Real-clock latency is measured by
 //! the end-to-end benchmark (`e2ebench/`).
@@ -75,15 +75,7 @@ pub fn run(which: DelayDtd, sizes: &[usize], scale: &Scale) -> Vec<DelayPoint> {
     };
 
     let mut out = Vec::new();
-    for covering in [true, false] {
-        let config = if covering {
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build()
-        } else {
-            RoutingConfig::builder().advertisements(true).build()
-        };
+    for config in [RoutingConfig::WithAdvWithCov, RoutingConfig::WithAdvNoCov] {
         const BROKERS: u32 = 7;
         let mut net: Network = chain(BROKERS, config, PlanetLabWan::default());
         let publisher = net.attach_client(BrokerId(0));
@@ -139,7 +131,7 @@ pub fn run(which: DelayDtd, sizes: &[usize], scale: &Scale) -> Vec<DelayPoint> {
                     out.push(DelayPoint {
                         hops,
                         doc_bytes: size,
-                        covering,
+                        covering: config.covering(),
                         delay: mean,
                     });
                 }

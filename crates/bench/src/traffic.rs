@@ -49,9 +49,9 @@ pub fn run(levels: u32, scale: &Scale) -> Vec<TrafficRow> {
     let leaves = binary_tree_leaves(levels);
     let documents = docs::documents(&dtd, scale.traffic_docs, SEED + 8);
 
-    RoutingConfig::all_strategies()
+    RoutingConfig::ALL
         .into_iter()
-        .map(|(name, config)| {
+        .map(|config| {
             let mut net = binary_tree(levels, config, ClusterLan::default());
             // One publisher at a random broker (seeded per the run, not
             // per strategy, so every strategy sees the same placement).
@@ -60,7 +60,7 @@ pub fn run(levels: u32, scale: &Scale) -> Vec<TrafficRow> {
             let pub_home = ids[rng.gen_range(0..ids.len())];
             let publisher = net.attach_client(pub_home);
 
-            if config.merging.is_some() {
+            if config.merge_degree().is_some() {
                 for id in net.broker_ids() {
                     net.broker_mut(id).set_universe(universe.clone());
                 }
@@ -68,7 +68,7 @@ pub fn run(levels: u32, scale: &Scale) -> Vec<TrafficRow> {
 
             // Advertisement phase (strategies without advertisements
             // skip it — subscriptions flood instead).
-            if config.advertisements {
+            if config.advertisements() {
                 net.advertise_all(publisher, advertisements.clone());
                 net.run();
             }
@@ -96,7 +96,7 @@ pub fn run(levels: u32, scale: &Scale) -> Vec<TrafficRow> {
                     net.subscribe(*subscriber, q.clone());
                 }
                 net.run();
-                if config.merging.is_some() {
+                if config.merge_degree().is_some() {
                     net.apply_merging();
                     net.run();
                 }
@@ -109,7 +109,7 @@ pub fn run(levels: u32, scale: &Scale) -> Vec<TrafficRow> {
             net.run();
 
             TrafficRow {
-                strategy: name,
+                strategy: config.name(),
                 traffic: net.metrics().network_traffic(),
                 subscribe_traffic: net.metrics().traffic_of(MessageKind::Subscribe)
                     + net.metrics().traffic_of(MessageKind::Unsubscribe),

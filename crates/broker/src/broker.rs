@@ -11,130 +11,89 @@ use xdn_core::rtable::{Prt, PublicationRouter, Srt, SubId};
 use xdn_obs::{Stopwatch, TraceEvent, Tracer};
 use xdn_xpath::Xpe;
 
-/// Which merging variant a broker runs (requires covering).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Merging {
-    /// Only mergers with `D_imperfect = 0` are applied.
-    Perfect,
-    /// Mergers up to `max_degree` are applied (the paper uses `0.1` in
-    /// Tables 1–3).
-    Imperfect {
-        /// The largest imperfect-merging degree accepted.
-        max_degree: f64,
-    },
-}
-
-impl Merging {
-    fn max_degree(self) -> f64 {
-        match self {
-            Merging::Perfect => 0.0,
-            Merging::Imperfect { max_degree } => max_degree,
-        }
-    }
-}
-
-/// A broker's routing strategy — the experiment axis of Tables 2/3.
-///
-/// Build one with [`RoutingConfig::builder`]:
+/// A broker's routing strategy: one row of Tables 2/3, in the paper's
+/// order. Merging (§4.3) runs on the covering subscription tree, so
+/// only covering strategies merge.
 ///
 /// ```
-/// use xdn_broker::broker::{Merging, RoutingConfig};
+/// use xdn_broker::RoutingConfig;
 ///
-/// let cfg = RoutingConfig::builder()
-///     .advertisements(true)
-///     .covering(true)
-///     .merging(Merging::Imperfect { max_degree: 0.1 })
-///     .build();
-/// assert!(cfg.advertisements && cfg.covering);
+/// let cfg = RoutingConfig::by_name("with-adv-with-cov-ipm").unwrap();
+/// assert_eq!(cfg, RoutingConfig::WithAdvWithCovIPM);
+/// assert!(cfg.advertisements() && cfg.covering());
+/// assert_eq!(cfg.merge_degree(), Some(0.1));
+/// assert_eq!(cfg.to_string(), "with-Adv-with-CovIPM");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoutingConfig {
-    /// Use advertisement-based subscription routing; without it,
-    /// subscriptions are flooded to every neighbour.
-    pub advertisements: bool,
-    /// Use the covering subscription tree; without it, the
-    /// non-covering shared-automaton table.
-    pub covering: bool,
-    /// Merging mode, if any.
-    pub merging: Option<Merging>,
-}
-
-/// Staged construction of a [`RoutingConfig`]; see
-/// [`RoutingConfig::builder`].
-///
-/// Starts from the paper's baseline (`no-Adv-no-Cov`, no merging);
-/// each method switches one axis on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoutingConfigBuilder {
-    advertisements: bool,
-    covering: bool,
-    merging: Option<Merging>,
-}
-
-impl RoutingConfigBuilder {
-    /// Enables or disables advertisement-based subscription routing.
-    pub fn advertisements(mut self, on: bool) -> Self {
-        self.advertisements = on;
-        self
-    }
-
-    /// Enables or disables the covering subscription tree.
-    pub fn covering(mut self, on: bool) -> Self {
-        self.covering = on;
-        self
-    }
-
-    /// Selects a merging mode (implies covering at the broker level;
-    /// the builder does not force it, matching the paper's independent
-    /// axes).
-    pub fn merging(mut self, merging: Merging) -> Self {
-        self.merging = Some(merging);
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> RoutingConfig {
-        RoutingConfig {
-            advertisements: self.advertisements,
-            covering: self.covering,
-            merging: self.merging,
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RoutingConfig {
+    /// `no-Adv-no-Cov`: subscriptions flood; every one is matched.
+    NoAdvNoCov,
+    /// `no-Adv-with-Cov`: subscriptions flood; covered ones are not
+    /// forwarded.
+    NoAdvWithCov,
+    /// `with-Adv-no-Cov`: subscriptions go toward overlapping
+    /// advertisements; every one is matched.
+    WithAdvNoCov,
+    /// `with-Adv-with-Cov`: advertisements and covering.
+    WithAdvWithCov,
+    /// `with-Adv-with-CovPM`: advertisements, covering and perfect
+    /// merging.
+    WithAdvWithCovPM,
+    /// `with-Adv-with-CovIPM`: advertisements, covering and imperfect
+    /// merging up to the paper's degree `D = 0.1`.
+    WithAdvWithCovIPM,
 }
 
 impl RoutingConfig {
-    /// Starts building a configuration from the `no-Adv-no-Cov`
-    /// baseline.
-    pub fn builder() -> RoutingConfigBuilder {
-        RoutingConfigBuilder::default()
+    /// The six strategies in the paper's order, for experiment sweeps.
+    pub const ALL: [RoutingConfig; 6] = [
+        RoutingConfig::NoAdvNoCov,
+        RoutingConfig::NoAdvWithCov,
+        RoutingConfig::WithAdvNoCov,
+        RoutingConfig::WithAdvWithCov,
+        RoutingConfig::WithAdvWithCovPM,
+        RoutingConfig::WithAdvWithCovIPM,
+    ];
+
+    /// The strategy's name as Tables 2/3 spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RoutingConfig::NoAdvNoCov => "no-Adv-no-Cov",
+            RoutingConfig::NoAdvWithCov => "no-Adv-with-Cov",
+            RoutingConfig::WithAdvNoCov => "with-Adv-no-Cov",
+            RoutingConfig::WithAdvWithCov => "with-Adv-with-Cov",
+            RoutingConfig::WithAdvWithCovPM => "with-Adv-with-CovPM",
+            RoutingConfig::WithAdvWithCovIPM => "with-Adv-with-CovIPM",
+        }
     }
 
-    /// All six strategies in the paper's order, for experiment sweeps.
-    pub fn all_strategies() -> [(&'static str, RoutingConfig); 6] {
-        let base = Self::builder();
-        [
-            ("no-Adv-no-Cov", base.build()),
-            ("no-Adv-with-Cov", base.covering(true).build()),
-            ("with-Adv-no-Cov", base.advertisements(true).build()),
-            (
-                "with-Adv-with-Cov",
-                base.advertisements(true).covering(true).build(),
-            ),
-            (
-                "with-Adv-with-CovPM",
-                base.advertisements(true)
-                    .covering(true)
-                    .merging(Merging::Perfect)
-                    .build(),
-            ),
-            (
-                "with-Adv-with-CovIPM",
-                base.advertisements(true)
-                    .covering(true)
-                    .merging(Merging::Imperfect { max_degree: 0.1 })
-                    .build(),
-            ),
-        ]
+    /// Subscriptions are routed toward overlapping advertisements;
+    /// without them, they are flooded to every neighbour.
+    pub fn advertisements(self) -> bool {
+        !matches!(
+            self,
+            RoutingConfig::NoAdvNoCov | RoutingConfig::NoAdvWithCov
+        )
+    }
+
+    /// The publication table is the covering subscription tree;
+    /// without it, the non-covering shared automaton.
+    pub fn covering(self) -> bool {
+        !matches!(
+            self,
+            RoutingConfig::NoAdvNoCov | RoutingConfig::WithAdvNoCov
+        )
+    }
+
+    /// The largest imperfect-merging degree the merging pass admits
+    /// (`0.0`: perfect mergers only), or `None` when the strategy does
+    /// not merge.
+    pub fn merge_degree(self) -> Option<f64> {
+        match self {
+            RoutingConfig::WithAdvWithCovPM => Some(0.0),
+            RoutingConfig::WithAdvWithCovIPM => Some(0.1),
+            _ => None,
+        }
     }
 
     /// Looks a strategy up by its Tables 2/3 name, comparing letters
@@ -146,10 +105,15 @@ impl RoutingConfig {
                 .filter(char::is_ascii_alphanumeric)
                 .map(|c| c.to_ascii_lowercase())
         }
-        Self::all_strategies()
+        Self::ALL
             .into_iter()
-            .find(|(n, _)| key(n).eq(key(name)))
-            .map(|(_, cfg)| cfg)
+            .find(|cfg| key(cfg.name()).eq(key(name)))
+    }
+}
+
+impl std::fmt::Display for RoutingConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -173,9 +137,14 @@ pub struct Broker {
     /// DTD path universe for computing `D_imperfect` (merging).
     universe: Option<Arc<Vec<Vec<String>>>>,
     merger_seq: u64,
-    /// Hops each forwarded subscription was sent to; deduplicates
-    /// re-forwarding when advertisements arrive after subscriptions.
-    sent_to: std::collections::HashMap<SubId, std::collections::BTreeSet<Dest>>,
+    /// The ledger: for each subscription id, every hop its expression
+    /// is installed at because this broker sent it there, with the id
+    /// it is installed under: its own, or that of a subscription which
+    /// shared its expression and left. Retractions and unsubscriptions
+    /// remove exactly the hops they retract from, so the entry of an
+    /// unsubscribed id is gone. It also deduplicates re-forwarding when
+    /// advertisements arrive after subscriptions.
+    sent_to: std::collections::HashMap<SubId, BTreeMap<Dest, SubId>>,
     stats: BrokerStats,
     /// Structured trace sink; `None` (the default) costs one branch on
     /// the hot paths and constructs no events.
@@ -229,7 +198,7 @@ impl std::ops::Deref for TracerHandle {
 impl Broker {
     /// Creates a broker with no neighbours.
     pub fn new(id: BrokerId, config: RoutingConfig) -> Self {
-        let prt: Box<dyn PublicationRouter<Dest> + Send> = if config.covering {
+        let prt: Box<dyn PublicationRouter<Dest> + Send> = if config.covering() {
             Box::new(Prt::new())
         } else {
             Box::new(AutomatonPrt::new())
@@ -260,8 +229,8 @@ impl Broker {
     }
 
     /// The configured routing strategy.
-    pub fn config(&self) -> &RoutingConfig {
-        &self.config
+    pub fn config(&self) -> RoutingConfig {
+        self.config
     }
 
     /// Registers a neighbouring broker.
@@ -578,7 +547,10 @@ impl Broker {
                     let link = self.links.entry(nb).or_insert_with(|| {
                         OutboundLink::new(epoch, crate::reliable::DEFAULT_RETRANSMIT_CAPACITY)
                     });
-                    Outbound::new(ob.dest, link.wrap_frame(ob.frame))
+                    let shed = link.overflow();
+                    let frame = link.wrap_frame(ob.frame);
+                    self.stats.retransmit_overflow += link.overflow() - shed;
+                    Outbound::new(ob.dest, frame)
                 }
                 _ => ob,
             })
@@ -609,23 +581,15 @@ impl Broker {
                     },
                 );
                 // Subscriptions that arrived before this advertisement
-                // were not forwarded toward it; re-evaluate the stored
-                // (top-level) subscriptions so the reverse path exists.
+                // were not forwarded toward it; re-evaluate what live
+                // forwarding owes `from` so the reverse path exists.
                 // The SRT already holds the advertisement, so its answer
                 // for `from` is exact at any subscription length.
-                if self.config.advertisements && !from.is_client() {
-                    for (sid, xpe, hops) in self.prt.forwarded_subs() {
-                        let only_from_there = hops.iter().all(|h| *h == from);
-                        let already_sent = self
-                            .sent_to
-                            .get(&sid)
-                            .is_some_and(|dests| dests.contains(&from));
-                        if !only_from_there
-                            && !already_sent
-                            && self.srt.match_sub(&xpe).contains(&from)
-                        {
+                if self.config.advertisements() && !from.is_client() {
+                    for (sid, xpe) in self.prt.owed_to(&from) {
+                        if !self.is_sent(sid, from) && self.srt.match_sub(&xpe).contains(&from) {
                             out.push(Outbound::from((from, Message::Subscribe { id: sid, xpe })));
-                            self.sent_to.entry(sid).or_default().insert(from);
+                            self.record_sent(sid, [from]);
                         }
                     }
                 }
@@ -699,7 +663,25 @@ impl Broker {
                 }
             }
             Message::SyncRequest => match from.as_broker() {
-                Some(nb) => vec![Outbound::from((from, self.export_routing_for(nb)))],
+                Some(nb) => {
+                    let state = self.export_routing_for(nb);
+                    if let Message::SyncState { subs, .. } = &state {
+                        // The export installs the ids it added for
+                        // owed expressions the ledger did not record;
+                        // record them, so that leaving retracts them.
+                        // (Every other exported id is recorded, or
+                        // names a subscription that already left.)
+                        let added: Vec<SubId> = subs
+                            .iter()
+                            .map(|(id, _)| *id)
+                            .filter(|id| self.prt.xpe_of(*id).is_some())
+                            .collect();
+                        for id in added {
+                            self.record_sent(id, [from]);
+                        }
+                    }
+                    vec![Outbound::from((from, state))]
+                }
                 None => Vec::new(),
             },
             Message::SyncState { advs, subs } => {
@@ -737,18 +719,23 @@ impl Broker {
     /// through this broker. The receiver installs it via
     /// [`Message::SyncState`] handling.
     ///
-    /// The subscription export is recomputed from the routing tables,
-    /// not read from forwarding history: a broker that itself restarted
-    /// has no `sent_to` memory, yet its snapshot must still carry the
-    /// subscriptions it holds, or a twice-faulted overlay acks frames
-    /// it cannot route. When this broker has advertisements learned via
-    /// the neighbour, the export is scoped exactly like live
-    /// forwarding (only overlapping subscriptions); on a cold link —
-    /// no advertisements from that side yet — every non-echo
-    /// subscription is exported. The superset is safe: installation is
-    /// idempotent and an extra PRT entry only routes matching
-    /// publications toward a subscriber that genuinely sits behind this
-    /// broker.
+    /// The subscriptions are those the ledger records at the neighbour,
+    /// under the ids they are installed with (one expression may be
+    /// installed there under several), so that a later retraction of
+    /// one leaves the others in place. Each expression the routing
+    /// tables owe the neighbour ([`PublicationRouter::owed_to`]: the
+    /// top-level ones, and the covered ones whose coverer arrived from
+    /// it) but the ledger records none of is added under one id: a
+    /// broker that itself restarted has no ledger, yet its snapshot
+    /// must still carry the subscriptions it holds, or a twice-faulted
+    /// overlay acks frames it cannot route. When this broker has
+    /// advertisements learned via the neighbour, those additions are
+    /// scoped exactly like live forwarding (only overlapping
+    /// subscriptions); on a cold link — no advertisements from that
+    /// side yet — every owed one is exported. The superset is safe:
+    /// installation is idempotent and an extra PRT entry only routes
+    /// matching publications toward a subscriber that genuinely sits
+    /// behind this broker.
     pub fn export_routing_for(&self, neighbor: BrokerId) -> Message {
         let hop = Dest::Broker(neighbor);
         let mut advs: Vec<_> = self
@@ -758,24 +745,34 @@ impl Broker {
             .map(|(id, adv, _)| (id, adv.clone()))
             .collect();
         advs.sort_by_key(|(id, _)| id.0);
-        let scoped = self.config.advertisements && self.srt.iter().any(|(_, _, h)| *h == hop);
-        let mut subs: Vec<_> = self
-            .prt
-            .forwarded_subs()
-            .into_iter()
-            .filter(|(_, _, hops)| hops.iter().all(|h| *h != hop))
-            .filter(|(_, xpe, _)| !scoped || self.srt.match_sub(xpe).contains(&hop))
-            .map(|(id, xpe, _)| (id, xpe))
+        let recorded: Vec<(SubId, Xpe)> = self
+            .sent_to
+            .iter()
+            .filter_map(|(id, sent)| Some((*sent.get(&hop)?, self.prt.xpe_of(*id)?.clone())))
             .collect();
+        let known: std::collections::HashSet<&Xpe> = recorded.iter().map(|(_, xpe)| xpe).collect();
+        let scoped = self.config.advertisements() && self.srt.iter().any(|(_, _, h)| *h == hop);
+        let unrecorded: Vec<(SubId, Xpe)> = self
+            .prt
+            .owed_to(&hop)
+            .into_iter()
+            .filter(|(_, xpe)| !known.contains(xpe))
+            .filter(|(_, xpe)| !scoped || self.srt.match_sub(xpe).contains(&hop))
+            .collect();
+        let mut subs = recorded;
+        subs.extend(unrecorded);
         subs.sort_by_key(|(id, _)| id.0);
         Message::SyncState { advs, subs }
     }
 
     /// A canonical textual digest of the routing tables (sorted SRT
     /// entries plus sorted top-level PRT subscriptions with their
-    /// origin hops). Two brokers with equal signatures route
-    /// identically; fault-tolerance tests compare a recovered broker
-    /// against a never-failed run with this.
+    /// origin hops). Covered subscriptions are not in it, so two
+    /// brokers with equal signatures hold the same advertisements and
+    /// forward the same subscriptions, but may still route a
+    /// publication differently; fault-tolerance tests compare a
+    /// recovered broker against a never-failed run with this, beside
+    /// an exact comparison of the deliveries.
     pub fn routing_signature(&self) -> String {
         let mut lines: Vec<String> = self
             .srt
@@ -815,10 +812,10 @@ impl Broker {
                 // The new subscription stands in for the covered one
                 // wherever both were sent. Elsewhere the covered id is
                 // not this broker's to retract: toward its own origin
-                // it names the origin's subscription.
-                let sent = self.sent_to.remove(rid).unwrap_or_default();
-                for t in targets.iter().filter(|t| sent.contains(t)) {
-                    out.push((*t, Message::Unsubscribe { id: *rid }));
+                // it names the origin's subscription, and toward this
+                // subscription's origin it is still owed.
+                for (t, installed) in self.retract_at(*rid, &targets) {
+                    out.push((t, Message::Unsubscribe { id: installed }));
                 }
             }
             for t in &targets {
@@ -830,10 +827,7 @@ impl Broker {
                     },
                 ));
             }
-            self.sent_to
-                .entry(id)
-                .or_default()
-                .extend(targets.iter().copied());
+            self.record_sent(id, targets);
         } else {
             // Covering suppression is only valid toward hops the
             // coverer was itself sent to; it was never sent toward its
@@ -855,7 +849,7 @@ impl Broker {
                                 xpe: xpe.clone(),
                             },
                         ));
-                        self.sent_to.entry(id).or_default().insert(t);
+                        self.record_sent(id, [t]);
                     }
                 }
             }
@@ -874,57 +868,68 @@ impl Broker {
         out
     }
 
+    /// One rule for both tables: promoted subscriptions are forwarded,
+    /// a subscription still stored under the expression keeps the
+    /// removed one's installations that it needs, and the removed id
+    /// is retracted from every other hop it was sent to, plus its
+    /// routing targets when the table says the expression left.
     fn handle_unsubscribe(&mut self, from: Dest, id: SubId) -> Vec<(Dest, Message)> {
         let mut out = Vec::new();
-        if self.config.covering {
-            let xpe = self.prt.xpe_of(id).cloned();
-            let outcome = self.prt.remove(id);
-            // Re-forward newly uncovered subscriptions first so no
-            // window without routing state opens upstream.
-            let promotions: Vec<(SubId, Xpe)> = outcome
-                .promote
-                .iter()
-                .filter_map(|pid| self.prt.xpe_of(*pid).map(|x| (*pid, x.clone())))
+        let xpe = self.prt.xpe_of(id).cloned();
+        let outcome = self.prt.remove(id);
+        // Re-forward newly uncovered subscriptions first so no window
+        // without routing state opens upstream.
+        let promotions: Vec<(SubId, Xpe)> = outcome
+            .promote
+            .iter()
+            .filter_map(|pid| self.prt.xpe_of(*pid).map(|x| (*pid, x.clone())))
+            .collect();
+        for (pid, pxpe) in promotions {
+            // The removed coverer stood in for the promoted
+            // subscription everywhere but the promoted node's own
+            // origins, including toward `from`. Where the expression is
+            // installed under another id, that one stands in already.
+            let own = self.prt.hops_of(pid);
+            let targets: Vec<Dest> = self
+                .sub_targets(&pxpe, None)
+                .into_iter()
+                .filter(|t| !own.contains(t))
+                .filter(|t| self.installed_at(pid, *t).is_none_or(|i| i == pid))
                 .collect();
-            for (pid, pxpe) in promotions {
-                // The removed coverer stood in for the promoted
-                // subscription everywhere but the promoted node's own
-                // origins, including toward `from`.
-                let own = self.prt.hops_of(pid);
-                let targets: Vec<Dest> = self
-                    .sub_targets(&pxpe, None)
-                    .into_iter()
-                    .filter(|t| !own.contains(t))
-                    .collect();
-                for t in &targets {
-                    out.push((
-                        *t,
-                        Message::Subscribe {
-                            id: pid,
-                            xpe: pxpe.clone(),
-                        },
-                    ));
-                }
-                self.sent_to.entry(pid).or_default().extend(targets);
+            for t in &targets {
+                out.push((
+                    *t,
+                    Message::Subscribe {
+                        id: pid,
+                        xpe: pxpe.clone(),
+                    },
+                ));
             }
-            if outcome.forward {
-                if let Some(xpe) = xpe {
-                    for t in self.sub_targets(&xpe, Some(from)) {
-                        out.push((t, Message::Unsubscribe { id }));
-                    }
-                }
-            }
-            self.sent_to.remove(&id);
-        } else {
-            let outcome = self.prt.remove(id);
-            if outcome.forward {
-                // Without covering the unsubscription is flooded like
-                // the subscription was.
-                for t in self.flood_targets(Some(from)) {
-                    out.push((t, Message::Unsubscribe { id }));
-                }
+            self.record_sent(pid, targets);
+        }
+        let mut sent = self.sent_to.remove(&id).unwrap_or_default();
+        let mut retract = Vec::new();
+        if let Some(xpe) = xpe.filter(|_| outcome.forward) {
+            for t in self.sub_targets(&xpe, Some(from)) {
+                retract.push((t, sent.remove(&t).unwrap_or(id)));
             }
         }
+        for (t, installed) in sent {
+            // One that did not come from `t` needs the expression
+            // there, and keeps it under the id it is installed with.
+            let heir = outcome.remaining.iter().find(|(_, h)| *h != t);
+            match heir {
+                Some(&(heir, _)) if !self.is_sent(heir, t) => {
+                    self.sent_to.entry(heir).or_default().insert(t, installed);
+                }
+                _ => retract.push((t, installed)),
+            }
+        }
+        out.extend(
+            retract
+                .into_iter()
+                .map(|(t, installed)| (t, Message::Unsubscribe { id: installed })),
+        );
         out
     }
 
@@ -932,7 +937,7 @@ impl Broker {
     /// advertisements (advertisement-based routing) or every neighbour
     /// (flooding). Client hops never receive subscriptions.
     fn sub_targets(&self, xpe: &Xpe, exclude: Option<Dest>) -> Vec<Dest> {
-        if self.config.advertisements {
+        if self.config.advertisements() {
             self.srt
                 .match_sub(xpe)
                 .into_iter()
@@ -942,6 +947,43 @@ impl Broker {
         } else {
             self.flood_targets(exclude)
         }
+    }
+
+    /// True if the ledger holds an installation for `id` at `hop`.
+    fn is_sent(&self, id: SubId, hop: Dest) -> bool {
+        self.installed_at(id, hop).is_some()
+    }
+
+    /// The id `id`'s expression is installed under at `hop`, if this
+    /// broker sent it there.
+    fn installed_at(&self, id: SubId, hop: Dest) -> Option<SubId> {
+        self.sent_to.get(&id)?.get(&hop).copied()
+    }
+
+    /// Records that `id` was sent to `hops`, under its own id where the
+    /// ledger holds no installation yet.
+    fn record_sent(&mut self, id: SubId, hops: impl IntoIterator<Item = Dest>) {
+        for hop in hops {
+            self.sent_to.entry(id).or_default().entry(hop).or_insert(id);
+        }
+    }
+
+    /// Forgets the hops among `targets` that `rid` was sent to and
+    /// returns them, in `targets` order, with the id to retract there.
+    /// Hops outside `targets` stay recorded: `rid` is still installed
+    /// there.
+    fn retract_at(&mut self, rid: SubId, targets: &[Dest]) -> Vec<(Dest, SubId)> {
+        let Some(sent) = self.sent_to.get_mut(&rid) else {
+            return Vec::new();
+        };
+        let gone = targets
+            .iter()
+            .filter_map(|t| sent.remove(t).map(|installed| (*t, installed)))
+            .collect();
+        if sent.is_empty() {
+            self.sent_to.remove(&rid);
+        }
+        gone
     }
 
     fn flood_targets(&self, exclude: Option<Dest>) -> Vec<Dest> {
@@ -970,7 +1012,7 @@ impl Broker {
     /// structural perfect mergers could be scored, so the pass is
     /// skipped entirely.
     pub fn apply_merging_frames(&mut self) -> Vec<Outbound> {
-        let Some(mode) = self.config.merging else {
+        let Some(max_degree) = self.config.merge_degree() else {
             return Vec::new();
         };
         let Some(universe) = self.universe.clone() else {
@@ -980,12 +1022,10 @@ impl Broker {
         let seq = &mut self.merger_seq;
         // Non-covering tables have nothing to merge; their trait impl
         // returns no applications.
-        let apps = self
-            .prt
-            .apply_merging(&universe, mode.max_degree(), &mut || {
-                *seq += 1;
-                SubId((1 << 63) | broker_bits | *seq)
-            });
+        let apps = self.prt.apply_merging(&universe, max_degree, &mut || {
+            *seq += 1;
+            SubId((1 << 63) | broker_bits | *seq)
+        });
         let mut out = Vec::new();
         for app in apps {
             let targets = self.sub_targets(&app.xpe, None);
@@ -998,16 +1038,12 @@ impl Broker {
                     },
                 )));
             }
-            self.sent_to
-                .entry(app.merger_id)
-                .or_default()
-                .extend(targets.iter().copied());
+            self.record_sent(app.merger_id, targets.iter().copied());
             for rid in app.retract {
                 // As in `handle_subscribe`: only where the absorbed
                 // subscription was sent, never toward its origin.
-                let sent = self.sent_to.remove(&rid).unwrap_or_default();
-                for t in targets.iter().filter(|t| sent.contains(t)) {
-                    out.push(Outbound::from((*t, Message::Unsubscribe { id: rid })));
+                for (t, installed) in self.retract_at(rid, &targets) {
+                    out.push(Outbound::from((t, Message::Unsubscribe { id: installed })));
                 }
             }
         }
@@ -1087,16 +1123,37 @@ mod tests {
     }
 
     #[test]
-    fn strategy_names_ignore_case_and_punctuation() {
-        let pm = RoutingConfig::by_name("with-Adv-with-CovPM").expect("a paper name");
-        assert_eq!(RoutingConfig::by_name("with-adv-with-cov-pm"), Some(pm));
-        assert_ne!(RoutingConfig::by_name("with-adv-with-cov-ipm"), Some(pm));
+    fn strategies_are_the_rows_of_tables_2_and_3() {
+        // (paper name, advertisements, covering, merge degree), in the
+        // paper's order.
+        let rows = [
+            ("no-Adv-no-Cov", false, false, None),
+            ("no-Adv-with-Cov", false, true, None),
+            ("with-Adv-no-Cov", true, false, None),
+            ("with-Adv-with-Cov", true, true, None),
+            ("with-Adv-with-CovPM", true, true, Some(0.0)),
+            ("with-Adv-with-CovIPM", true, true, Some(0.1)),
+        ];
+        assert_eq!(RoutingConfig::ALL.len(), rows.len());
+        for (cfg, (name, adv, cov, degree)) in RoutingConfig::ALL.into_iter().zip(rows) {
+            assert_eq!(cfg.name(), name);
+            assert_eq!(cfg.to_string(), name);
+            assert_eq!(RoutingConfig::by_name(name), Some(cfg));
+            let dashed = name.replace("CovPM", "Cov-PM").replace("CovIPM", "Cov-IPM");
+            assert_eq!(RoutingConfig::by_name(&dashed.to_lowercase()), Some(cfg));
+            assert_eq!(RoutingConfig::by_name(&cfg.to_string()), Some(cfg));
+            assert_eq!(
+                (cfg.advertisements(), cfg.covering(), cfg.merge_degree()),
+                (adv, cov, degree),
+                "{name}"
+            );
+        }
         assert_eq!(RoutingConfig::by_name("with-adv"), None);
     }
 
     #[test]
     fn publication_is_encoded_once_per_hop() {
-        let mut b = Broker::new(BrokerId(0), RoutingConfig::builder().build());
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::NoAdvNoCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         b.handle(client(7), Message::subscribe(SubId(1), xpe("/a")));
@@ -1118,13 +1175,7 @@ mod tests {
 
     #[test]
     fn advertisement_flooded_except_origin() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         let out = b.handle(
@@ -1138,13 +1189,7 @@ mod tests {
 
     #[test]
     fn subscription_routed_toward_advertiser() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         for n in 1..=3 {
             b.add_neighbor(BrokerId(n));
         }
@@ -1163,7 +1208,7 @@ mod tests {
 
     #[test]
     fn subscription_flooded_without_advertisements() {
-        let mut b = Broker::new(BrokerId(0), RoutingConfig::builder().build());
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::NoAdvNoCov);
         for n in 1..=3 {
             b.add_neighbor(BrokerId(n));
         }
@@ -1174,13 +1219,7 @@ mod tests {
 
     #[test]
     fn covered_subscription_not_forwarded() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.handle(
             broker_hop(1),
@@ -1194,13 +1233,7 @@ mod tests {
 
     #[test]
     fn takeover_retracts_covered_subscriptions() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.handle(
             broker_hop(1),
@@ -1222,13 +1255,7 @@ mod tests {
 
     #[test]
     fn publication_routed_to_matching_hops_only() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         b.handle(broker_hop(2), Message::subscribe(SubId(1), xpe("/a/b")));
@@ -1244,13 +1271,7 @@ mod tests {
 
     #[test]
     fn publication_never_returns_to_sender() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.handle(broker_hop(1), Message::subscribe(SubId(1), xpe("/a")));
         let out = b.handle(broker_hop(1), Message::Publish(publication(&["a"])));
@@ -1259,13 +1280,7 @@ mod tests {
 
     #[test]
     fn unsubscribe_promotes_covered() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.handle(
             broker_hop(1),
@@ -1284,7 +1299,7 @@ mod tests {
 
     #[test]
     fn flat_unsubscribe_floods() {
-        let mut b = Broker::new(BrokerId(0), RoutingConfig::builder().build());
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::NoAdvNoCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         b.handle(client(1), Message::subscribe(SubId(1), xpe("/a")));
@@ -1293,15 +1308,69 @@ mod tests {
     }
 
     #[test]
-    fn merging_emits_merger_and_retractions() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .merging(Merging::Perfect)
-                .build(),
+    fn unsubscriptions_empty_the_ledger() {
+        for cfg in RoutingConfig::ALL {
+            let mut b = Broker::new(BrokerId(1), cfg);
+            b.add_neighbor(BrokerId(0));
+            b.add_neighbor(BrokerId(2));
+            b.handle(
+                broker_hop(0),
+                Message::advertise(AdvId(1), adv(&["a", "b"])),
+            );
+            for i in 0..100 {
+                b.handle(client(1), Message::subscribe(SubId(i), xpe("/a/*")));
+                b.handle(client(1), Message::Unsubscribe { id: SubId(i) });
+            }
+            assert_eq!(b.sent_to.len(), 0, "{cfg} keeps ledger entries");
+        }
+    }
+
+    #[test]
+    fn unsubscription_goes_where_the_subscription_went() {
+        let mut b = Broker::new(BrokerId(1), RoutingConfig::WithAdvNoCov);
+        b.add_neighbor(BrokerId(0));
+        b.add_neighbor(BrokerId(2));
+        b.handle(
+            broker_hop(0),
+            Message::advertise(AdvId(1), adv(&["a", "b"])),
         );
+        let dests = |out: Vec<(Dest, Message)>, kind| -> Vec<Dest> {
+            out.iter()
+                .filter(|(_, m)| m.kind() == kind)
+                .map(|(d, _)| *d)
+                .collect()
+        };
+        let out = b.handle(client(1), Message::subscribe(SubId(1), xpe("/a/*")));
+        assert_eq!(dests(out, MessageKind::Subscribe), [broker_hop(0)]);
+        let out = b.handle(client(1), Message::Unsubscribe { id: SubId(1) });
+        assert_eq!(dests(out, MessageKind::Unsubscribe), [broker_hop(0)]);
+    }
+
+    #[test]
+    fn a_remaining_subscriber_keeps_the_installation() {
+        // Two clients share one expression, forwarded under the first
+        // one's id. When the first leaves, the second still needs it
+        // upstream, under that id; when the second leaves, that id is
+        // retracted.
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::NoAdvWithCov);
+        b.add_neighbor(BrokerId(1));
+        b.handle(client(1), Message::subscribe(SubId(1), xpe("/a/b")));
+        b.handle(client(2), Message::subscribe(SubId(2), xpe("/a/b")));
+        let out = b.handle(client(1), Message::Unsubscribe { id: SubId(1) });
+        assert!(out.is_empty(), "{out:?}");
+        let out = b.handle(client(2), Message::Unsubscribe { id: SubId(2) });
+        let sent: Vec<(Dest, Message)> =
+            out.iter().map(|(d, m)| (*d, m.payload().clone())).collect();
+        assert_eq!(
+            sent,
+            [(broker_hop(1), Message::Unsubscribe { id: SubId(1) })]
+        );
+        assert!(b.sent_to.is_empty());
+    }
+
+    #[test]
+    fn merging_emits_merger_and_retractions() {
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCovPM);
         b.add_neighbor(BrokerId(1));
         b.handle(
             broker_hop(1),
@@ -1335,34 +1404,21 @@ mod tests {
 
     #[test]
     fn merging_skipped_without_universe() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .merging(Merging::Perfect)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCovPM);
         b.handle(client(1), Message::subscribe(SubId(1), xpe("/a/b")));
         assert!(b.apply_merging().is_empty());
     }
 
     #[test]
     fn merging_disabled_for_plain_covering() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.set_universe(Arc::new(vec![]));
         assert!(b.apply_merging().is_empty());
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut b = Broker::new(BrokerId(0), RoutingConfig::builder().build());
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::NoAdvNoCov);
         b.add_neighbor(BrokerId(1));
         b.handle(client(1), Message::subscribe(SubId(1), xpe("/a")));
         b.handle(broker_hop(1), Message::Publish(publication(&["a"])));
@@ -1377,13 +1433,7 @@ mod tests {
 
     #[test]
     fn sync_request_answers_with_link_state() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         // One advertisement from B2 (exported to B1), one from B1 (not
@@ -1438,13 +1488,7 @@ mod tests {
 
     #[test]
     fn sync_state_install_is_idempotent() {
-        let mut healthy = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut healthy = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         healthy.add_neighbor(BrokerId(1));
         healthy.handle(
             broker_hop(1),
@@ -1454,13 +1498,7 @@ mod tests {
 
         // A restarted replacement learns the same state from a sync
         // snapshot, and installing it twice changes nothing.
-        let mut restarted = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut restarted = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         restarted.add_neighbor(BrokerId(1));
         let snapshot = Message::SyncState {
             advs: vec![(AdvId(1), adv(&["a", "b"]))],
@@ -1476,13 +1514,7 @@ mod tests {
 
     #[test]
     fn warming_broker_defers_sync_answer_until_other_snapshots_arrive() {
-        let mut b = Broker::new(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(1), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(0));
         b.add_neighbor(BrokerId(2));
         b.expect_sync_from(BrokerId(0));
@@ -1515,13 +1547,7 @@ mod tests {
         // from one side are handed to the other side's sync (full
         // non-echo set — no advertisements to scope by yet), and never
         // echoed back to the side they came from.
-        let mut b = Broker::new(
-            BrokerId(2),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(2), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(3));
         b.handle(
@@ -1539,17 +1565,38 @@ mod tests {
             panic!("export must be a SyncState")
         };
         assert!(subs.is_empty(), "subscription echoed to its source");
+        // The answer installs it at B1, so the ledger records it there
+        // and its unsubscription follows.
+        b.handle(broker_hop(1), Message::SyncRequest);
+        let out = b.handle(broker_hop(3), Message::Unsubscribe { id: SubId(5) });
+        let retracted: Vec<Dest> = out
+            .iter()
+            .filter(|(_, m)| m.kind() == MessageKind::Unsubscribe)
+            .map(|(d, _)| *d)
+            .collect();
+        assert_eq!(retracted, [broker_hop(1)]);
+    }
+
+    #[test]
+    fn export_carries_every_id_installed_at_the_neighbour() {
+        // B2 sends `/a/b` to B4 under B1's id, and under B5's because
+        // B4 holds a subscriber of it too (the direction is owed).
+        let mut b = Broker::new(BrokerId(2), RoutingConfig::NoAdvWithCov);
+        for n in [1, 4, 5] {
+            b.add_neighbor(BrokerId(n));
+        }
+        for (id, hop) in [(1, 1), (2, 4), (3, 5)] {
+            b.handle(broker_hop(hop), Message::subscribe(SubId(id), xpe("/a/b")));
+        }
+        let Message::SyncState { subs, .. } = b.export_routing_for(BrokerId(4)) else {
+            panic!("export must be a SyncState")
+        };
+        assert_eq!(subs, vec![(SubId(1), xpe("/a/b")), (SubId(3), xpe("/a/b"))]);
     }
 
     #[test]
     fn heartbeat_is_inert() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         assert!(b.handle(broker_hop(1), Message::Heartbeat).is_empty());
         assert_eq!(b.stats().received_of(MessageKind::Heartbeat), 1);
@@ -1558,13 +1605,7 @@ mod tests {
 
     #[test]
     fn unadvertise_removes_and_floods() {
-        let mut b = Broker::new(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let mut b = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
         b.add_neighbor(BrokerId(1));
         b.add_neighbor(BrokerId(2));
         b.handle(broker_hop(1), Message::advertise(AdvId(1), adv(&["a"])));
@@ -1575,7 +1616,7 @@ mod tests {
 
     #[test]
     fn broker_traffic_is_sequenced_and_acked() {
-        let cfg = RoutingConfig::builder().build();
+        let cfg = RoutingConfig::NoAdvNoCov;
         let mut a = Broker::new(BrokerId(0), cfg);
         let mut b = Broker::new(BrokerId(1), cfg);
         a.add_neighbor(BrokerId(1));
@@ -1617,7 +1658,7 @@ mod tests {
 
     #[test]
     fn replayed_frames_are_idempotent() {
-        let cfg = RoutingConfig::builder().build();
+        let cfg = RoutingConfig::NoAdvNoCov;
         let mut a = Broker::new(BrokerId(0), cfg);
         let mut b = Broker::new(BrokerId(1), cfg);
         a.add_neighbor(BrokerId(1));
@@ -1639,7 +1680,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_frames_counted() {
-        let cfg = RoutingConfig::builder().build();
+        let cfg = RoutingConfig::NoAdvNoCov;
         let mut b = Broker::new(BrokerId(1), cfg);
         b.add_neighbor(BrokerId(0));
         // Epoch 5 first, then a leftover epoch-3 frame.
@@ -1667,7 +1708,7 @@ mod tests {
 
     #[test]
     fn reliability_state_survives_detach_and_restore() {
-        let cfg = RoutingConfig::builder().build();
+        let cfg = RoutingConfig::NoAdvNoCov;
         let mut a = Broker::new(BrokerId(0), cfg);
         a.add_neighbor(BrokerId(1));
         a.set_epoch(9);
@@ -1748,7 +1789,7 @@ mod batch_tests {
     /// reliability layer's own. The sender comes back too, awaiting
     /// acks for every frame.
     fn sender_with_publications(n: usize) -> (Broker, Vec<Message>) {
-        let mut sender = Broker::new(BrokerId(1), RoutingConfig::builder().build());
+        let mut sender = Broker::new(BrokerId(1), RoutingConfig::NoAdvNoCov);
         sender.add_neighbor(BrokerId(0));
         sender.handle(broker_hop(0), Message::subscribe(SubId(9), xpe("//b")));
         let frames = (0..n)
@@ -1865,8 +1906,8 @@ mod batch_tests {
 
     #[test]
     fn handle_batch_matches_sequential_handle() {
-        for covering in [false, true] {
-            assert_batch_equivalent(RoutingConfig::builder().covering(covering).build());
+        for config in [RoutingConfig::NoAdvNoCov, RoutingConfig::NoAdvWithCov] {
+            assert_batch_equivalent(config);
         }
     }
 
@@ -1874,7 +1915,7 @@ mod batch_tests {
     fn batch_of_fresh_frames_owes_one_ack() {
         const N: usize = 5;
         let (mut sender, seqs) = sender_with_publications(N);
-        let mut b = batch_fixture(RoutingConfig::builder().covering(true).build());
+        let mut b = batch_fixture(RoutingConfig::NoAdvWithCov);
         let batch: Vec<(Dest, Message)> = seqs.into_iter().map(|m| (broker_hop(1), m)).collect();
         let sent_before = b.stats().sent;
         let out = b.handle_batch(batch);
@@ -1901,19 +1942,19 @@ mod batch_tests {
 
     #[test]
     fn automaton_stats_present_only_without_covering() {
-        let b = batch_fixture(RoutingConfig::builder().build());
+        let b = batch_fixture(RoutingConfig::NoAdvNoCov);
         let stats = b.automaton_stats().expect("automaton table has stats");
         assert_eq!(stats.live_subs, 2, "fixture installed two subscriptions");
         assert!(stats.states > 0);
-        let covering = batch_fixture(RoutingConfig::builder().covering(true).build());
+        let covering = batch_fixture(RoutingConfig::NoAdvWithCov);
         assert!(covering.automaton_stats().is_none());
     }
 
     #[test]
     fn handle_batch_defers_payload_while_warming() {
-        let mut batched = batch_fixture(RoutingConfig::builder().build());
+        let mut batched = batch_fixture(RoutingConfig::NoAdvNoCov);
         batched.expect_sync_from(BrokerId(1));
-        let mut sequential = batch_fixture(RoutingConfig::builder().build());
+        let mut sequential = batch_fixture(RoutingConfig::NoAdvNoCov);
         sequential.expect_sync_from(BrokerId(1));
 
         let batch = vec![

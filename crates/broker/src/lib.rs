@@ -6,27 +6,24 @@
 //! it holds a subscription routing table (SRT) and a publication
 //! routing table (PRT) and forwards messages purely on content. This
 //! crate composes the algorithms of [`xdn_core`] into the six routing
-//! strategies evaluated in Tables 2 and 3 of the paper:
+//! strategies evaluated in Tables 2 and 3 of the paper, the six
+//! variants of [`RoutingConfig`]:
 //!
-//! | strategy                | advertisements | covering | merging |
-//! |-------------------------|----------------|----------|---------|
-//! | `no-Adv-no-Cov`         | –              | –        | –       |
-//! | `no-Adv-with-Cov`       | –              | ✓        | –       |
-//! | `with-Adv-no-Cov`       | ✓              | –        | –       |
-//! | `with-Adv-with-Cov`     | ✓              | ✓        | –       |
-//! | `with-Adv-with-CovPM`   | ✓              | ✓        | perfect |
-//! | `with-Adv-with-CovIPM`  | ✓              | ✓        | imperfect |
+//! | [`RoutingConfig`]     | paper name             | advertisements | covering | merging |
+//! |-----------------------|------------------------|----------------|----------|---------|
+//! | `NoAdvNoCov`          | `no-Adv-no-Cov`        | –              | –        | –       |
+//! | `NoAdvWithCov`        | `no-Adv-with-Cov`      | –              | ✓        | –       |
+//! | `WithAdvNoCov`        | `with-Adv-no-Cov`      | ✓              | –        | –       |
+//! | `WithAdvWithCov`      | `with-Adv-with-Cov`    | ✓              | ✓        | –       |
+//! | `WithAdvWithCovPM`    | `with-Adv-with-CovPM`  | ✓              | ✓        | perfect |
+//! | `WithAdvWithCovIPM`   | `with-Adv-with-CovIPM` | ✓              | ✓        | imperfect, `D = 0.1` |
 //!
 //! ```
 //! use xdn_broker::{Broker, BrokerId, ClientId, Dest, Message, RoutingConfig};
 //! use xdn_core::rtable::{AdvId, SubId};
 //! use xdn_core::adv::{AdvPath, Advertisement};
 //!
-//! let config = RoutingConfig::builder()
-//!     .advertisements(true)
-//!     .covering(true)
-//!     .build();
-//! let mut broker = Broker::new(BrokerId(0), config);
+//! let mut broker = Broker::new(BrokerId(0), RoutingConfig::WithAdvWithCov);
 //! broker.add_neighbor(BrokerId(1));
 //!
 //! // A producer behind neighbor 1 advertises /quotes/nyse/price.
@@ -49,7 +46,7 @@ pub mod reliable;
 pub mod stats;
 pub mod wire;
 
-pub use broker::{Broker, Merging, RoutingConfig, RoutingConfigBuilder};
+pub use broker::{Broker, RoutingConfig};
 pub use message::{BrokerId, ClientId, Dest, Message, MessageKind, Publication};
 pub use reliable::{Admit, DedupWindow, OutboundLink, ReliabilityState};
 pub use stats::{BrokerStats, KindCounters};

@@ -102,6 +102,10 @@ pub struct BrokerStats {
     /// awaited neighbour sync. Shed frames were never acknowledged, so
     /// their senders replay them once sync completes.
     pub warmup_shed: u64,
+    /// Sequenced frames shed from a full retransmit buffer
+    /// ([`crate::OutboundLink::overflow`]): at-least-once delivery no
+    /// longer covers them.
+    pub retransmit_overflow: u64,
 }
 
 impl BrokerStats {
@@ -142,6 +146,8 @@ impl BrokerStats {
         self.dup_frames += other.dup_frames;
         self.stale_frames += other.stale_frames;
         self.ack_lag.merge(&other.ack_lag);
+        self.warmup_shed += other.warmup_shed;
+        self.retransmit_overflow += other.retransmit_overflow;
     }
 }
 
@@ -216,6 +222,8 @@ mod tests {
         a.pub_routing.record(Duration::from_micros(10));
         let mut b = BrokerStats {
             deliveries: 1,
+            warmup_shed: 4,
+            retransmit_overflow: 5,
             ..Default::default()
         };
         for _ in 0..3 {
@@ -226,6 +234,7 @@ mod tests {
         assert_eq!(a.received_of(MessageKind::Publish), 4);
         assert_eq!(a.sent, 2);
         assert_eq!(a.deliveries, 1);
+        assert_eq!((a.warmup_shed, a.retransmit_overflow), (4, 5));
         assert_eq!(a.pub_routing.count(), 2);
         assert_eq!(a.mean_pub_routing(), Duration::from_micros(20));
     }

@@ -301,10 +301,7 @@ proptest! {
         let new_epoch = new_epoch.max(2);
         // Any epoch strictly below the established one is stale.
         let old_epoch = 1 + old_back % (new_epoch - 1);
-        let config = RoutingConfig::builder()
-            .advertisements(true)
-            .covering(true)
-            .build();
+        let config = RoutingConfig::WithAdvWithCov;
         let mut b = Broker::new(BrokerId(0), config);
         b.add_neighbor(BrokerId(1));
         let from = Dest::Broker(BrokerId(1));

@@ -110,7 +110,7 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
         }
     }
 
-    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome {
+    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome<H> {
         let known = self.entries.remove(&id).is_some();
         if known {
             self.nfa.remove(id.0);
@@ -124,7 +124,7 @@ impl<H: Clone + Ord + std::fmt::Debug> PublicationRouter<H> for AutomatonPrt<H> 
         }
         UnsubscribeOutcome {
             forward: known,
-            promote: Vec::new(),
+            ..UnsubscribeOutcome::unknown()
         }
     }
 

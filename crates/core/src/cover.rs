@@ -198,8 +198,9 @@ fn place(
                 if anchor_first && i == 0 && (jj != 0 || p != 0) {
                     break;
                 }
-                // Pay pending from guaranteed positions before p.
-                if before_jj + (p - start_pos) < pending_due(jj == j, pending, p, start_pos) {
+                // Pay pending from guaranteed positions before p (the
+                // offset itself supplies `p - start_pos` of them).
+                if before_jj + (p - start_pos) < pending {
                     continue;
                 }
                 if window_covers(frag, f2[jj], p)
@@ -213,8 +214,7 @@ fn place(
         // Rule 2: trailing wildcards absorbed past the fragment end.
         if wilds > 0 && jj < f2.len() && gpart.len() <= flen {
             let p = flen - gpart.len();
-            let p_ok = p >= start_pos
-                && before_jj + (p - start_pos) >= pending_due(jj == j, pending, p, start_pos);
+            let p_ok = p >= start_pos && before_jj + (p - start_pos) >= pending;
             let anchor_ok = !(anchor_first && i == 0) || (jj == 0 && p == 0);
             if p_ok
                 && anchor_ok
@@ -232,14 +232,6 @@ fn place(
         }
     }
     false
-}
-
-fn pending_due(same_fragment: bool, pending: usize, _p: usize, _start: usize) -> usize {
-    // Pending wildcards owed before the next placement; independent of
-    // the placement offset (the offset itself supplies positions, which
-    // the caller accounts for via `before_jj + (p - start_pos)`).
-    let _ = same_fragment;
-    pending
 }
 
 /// `s1` fragment window covers `f2[jj][p ..]` position-wise.

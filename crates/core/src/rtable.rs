@@ -200,8 +200,9 @@ pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
     /// broker owes the wire (forwarding, retractions, owed directions).
     fn insert(&mut self, id: SubId, xpe: Xpe, last_hop: H) -> SubscribeOutcome<H>;
 
-    /// Removes a subscription; reports forwarding and promotions.
-    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome;
+    /// Removes a subscription; reports forwarding, promotions and the
+    /// subscriptions left under its expression.
+    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome<H>;
 
     /// Calls `f` with every ⟨subscription, last hop⟩ whose expression
     /// matches `path` (with per-element `attrs`). Hops repeat if
@@ -232,9 +233,24 @@ pub trait PublicationRouter<H: Clone + Ord>: fmt::Debug {
     fn hops_of(&self, id: SubId) -> Vec<H>;
 
     /// The forwarded subscriptions: a representative id, the
-    /// expression, and the last hops each was received from. Used to
-    /// re-forward state toward newly arrived advertisements.
+    /// expression, and the last hops each was received from.
     fn forwarded_subs(&self) -> Vec<(SubId, Xpe, Vec<H>)>;
+
+    /// What live forwarding installs at `hop`, before advertisement
+    /// scoping: for each stored expression that is top-level, or whose
+    /// covering root arrived from `hop` (the direction the coverer was
+    /// never sent), one id that did not arrive from `hop`. Re-sync
+    /// exports those the broker has no record of sending there, and a
+    /// new advertisement from `hop` re-evaluates them.
+    /// Without covering every subscription is top-level: the forwarded
+    /// ones not received from `hop`.
+    fn owed_to(&self, hop: &H) -> Vec<(SubId, Xpe)> {
+        self.forwarded_subs()
+            .into_iter()
+            .filter(|(_, _, hops)| hops.iter().all(|h| h != hop))
+            .map(|(id, xpe, _)| (id, xpe))
+            .collect()
+    }
 
     /// The effective routing table size after covering (Figures 6/7);
     /// equals [`Self::len`] for non-covering tables.
@@ -294,12 +310,28 @@ pub struct SubscribeOutcome<H = ()> {
 
 /// Result of a [`PublicationRouter::remove`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsubscribeOutcome {
+pub struct UnsubscribeOutcome<H = ()> {
     /// Forward the unsubscription (the subscription had been forwarded).
     pub forward: bool,
     /// Subscriptions uncovered by the removal that must now be
     /// (re-)forwarded.
     pub promote: Vec<SubId>,
+    /// The subscriptions still stored under the removed expression,
+    /// with their last hops: wherever the expression was installed
+    /// under the removed id, one of them may still need it. Empty when
+    /// the expression left the table.
+    pub remaining: Vec<(SubId, H)>,
+}
+
+impl<H> UnsubscribeOutcome<H> {
+    /// The outcome of removing an id the table does not hold.
+    pub(crate) fn unknown() -> Self {
+        UnsubscribeOutcome {
+            forward: false,
+            promote: Vec::new(),
+            remaining: Vec::new(),
+        }
+    }
 }
 
 /// The covering publication routing table: a [`SubscriptionTree`] whose
@@ -356,14 +388,19 @@ impl<H: Clone + Ord> Prt<H> {
         Self::default()
     }
 
+    /// The top-level ancestor of `node` (itself when top-level).
+    fn root_of(&self, mut node: NodeId) -> NodeId {
+        while let Some(p) = self.tree.parent(node) {
+            node = p;
+        }
+        node
+    }
+
     /// The unique last hops of `node`'s top-level ancestor, excluding
     /// `arriving` (the coverer was never forwarded toward its own
     /// origins, so a covered subscription still owes those directions).
     fn root_hops_of(&self, node: NodeId, arriving: &H) -> Vec<H> {
-        let mut root = node;
-        while let Some(p) = self.tree.parent(root) {
-            root = p;
-        }
+        let root = self.root_of(node);
         if self.synthetic.contains_key(&root) {
             // Mergers are created locally and forwarded to every
             // routing target; nothing is owed.
@@ -503,12 +540,9 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
     /// must be re-forwarded upstream. Unknown ids are ignored
     /// (duplicate unsubscriptions are routine in a network that
     /// retracts covered subscriptions).
-    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome {
+    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome<H> {
         let Some(node) = self.by_sub.remove(&id) else {
-            return UnsubscribeOutcome {
-                forward: false,
-                promote: Vec::new(),
-            };
+            return UnsubscribeOutcome::unknown();
         };
         let subs = self.tree.payload_mut(node);
         subs.retain(|(s, _)| *s != id);
@@ -516,6 +550,7 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
             return UnsubscribeOutcome {
                 forward: false,
                 promote: Vec::new(),
+                remaining: subs.clone(),
             };
         }
         let was_top = self.tree.parent(node).is_none();
@@ -542,6 +577,7 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
                         .chain(self.synthetic.get(&p).copied())
                 })
                 .collect(),
+            remaining: Vec::new(),
         }
     }
 
@@ -601,6 +637,34 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for Prt<H> {
                 Some((id, self.tree.xpe(n).clone(), hops))
             })
             .collect()
+    }
+
+    /// Walks down from the roots: a top-level merger was sent
+    /// everywhere under its own id, and what a merger covers owes
+    /// nothing.
+    fn owed_to(&self, hop: &H) -> Vec<(SubId, Xpe)> {
+        let not_from = |node: NodeId| {
+            let subs = self.tree.payload(node);
+            subs.iter().find(|(_, h)| h != hop).map(|(s, _)| *s)
+        };
+        let mut owed = Vec::new();
+        for &root in self.tree.roots() {
+            let merger = self.synthetic.get(&root).copied();
+            if let Some(id) = merger.or_else(|| not_from(root)) {
+                owed.push((id, self.tree.xpe(root).clone()));
+            }
+            if merger.is_some() || self.tree.payload(root).iter().all(|(_, h)| h != hop) {
+                continue;
+            }
+            let mut below = self.tree.children(root).to_vec();
+            while let Some(node) = below.pop() {
+                if let Some(id) = not_from(node) {
+                    owed.push((id, self.tree.xpe(node).clone()));
+                }
+                below.extend_from_slice(self.tree.children(node));
+            }
+        }
+        owed
     }
 
     fn effective_size(&self) -> usize {
@@ -667,11 +731,10 @@ impl<H: Clone + Ord + fmt::Debug> PublicationRouter<H> for FlatPrt<H> {
         }
     }
 
-    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome {
-        let known = self.entries.remove(&id).is_some();
+    fn remove(&mut self, id: SubId) -> UnsubscribeOutcome<H> {
         UnsubscribeOutcome {
-            forward: known,
-            promote: Vec::new(),
+            forward: self.entries.remove(&id).is_some(),
+            ..UnsubscribeOutcome::unknown()
         }
     }
 

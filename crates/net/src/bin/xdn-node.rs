@@ -44,10 +44,7 @@ fn main() {
     let mut listen: Option<SocketAddr> = None;
     let mut peers: Vec<(BrokerId, SocketAddr)> = Vec::new();
     let mut expected: Vec<BrokerId> = Vec::new();
-    let mut strategy = RoutingConfig::builder()
-        .advertisements(true)
-        .covering(true)
-        .build();
+    let mut strategy = RoutingConfig::WithAdvWithCov;
 
     let mut i = 0;
     while i < args.len() {
@@ -93,7 +90,7 @@ fn main() {
         usage()
     };
 
-    match TcpNode::start_expecting(
+    match TcpNode::start_with(
         BrokerId(id),
         strategy,
         listen,

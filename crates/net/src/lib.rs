@@ -17,7 +17,9 @@
 //!   with attached publisher/subscriber clients.
 //! * [`topology`] — balanced binary trees (the 7- and 127-broker
 //!   overlays of Tables 2/3) and linear chains (the hop sweeps of
-//!   Figures 10/11).
+//!   Figures 10/11), every broker running one
+//!   [`xdn_broker::RoutingConfig`]; Tables 2/3 sweep
+//!   `RoutingConfig::ALL`.
 //! * [`latency`] — cluster-LAN and PlanetLab-like WAN link models.
 //! * [`metrics`] — the simulator's network-wide message counts and
 //!   notification delays.
@@ -29,8 +31,9 @@
 //! use xdn_net::{latency::ClusterLan, sim::Network, topology};
 //! use xdn_core::adv::{AdvPath, Advertisement};
 //!
-//! // A 3-broker chain: publisher at one end, subscriber at the other.
-//! let mut net = topology::chain(3, RoutingConfig::builder().advertisements(true).covering(true).build(), ClusterLan::default());
+//! // A 3-broker `with-Adv-with-Cov` chain: publisher at one end,
+//! // subscriber at the other.
+//! let mut net = topology::chain(3, RoutingConfig::WithAdvWithCov, ClusterLan::default());
 //! let publisher = net.attach_client(net.broker_ids()[0]);
 //! let subscriber = net.attach_client(net.broker_ids()[2]);
 //!

@@ -36,7 +36,7 @@ pub struct NetMetrics {
     /// Document deliveries (first matching path per client and doc).
     pub notifications: Vec<Notification>,
     /// Every delivered path, when path recording is enabled
-    /// ([`NetMetrics::set_record_paths`]) — the input to
+    /// (`Network::set_record_deliveries`) — the input to
     /// subscriber-side document reassembly.
     pub delivered_paths: Vec<(ClientId, xdn_xml::DocPath)>,
     /// Messages discarded because a crashed broker's recovery buffer
@@ -48,7 +48,9 @@ pub struct NetMetrics {
     /// Frames shed by the simulator's bounded fault buffers, per
     /// destination peer and payload kind.
     pub shed_frames: BTreeMap<BrokerId, KindCounters>,
-    record_paths: bool,
+    /// Whether [`NetMetrics::delivered_paths`] records; set by
+    /// `Network::set_record_deliveries`.
+    pub(crate) record_paths: bool,
     publish_times: HashMap<DocId, Duration>,
     delivered: HashSet<(ClientId, DocId)>,
 }
@@ -81,18 +83,6 @@ impl NetMetrics {
         ))
     }
 
-    /// Enables or disables accumulation of every delivered path into
-    /// [`NetMetrics::delivered_paths`]. Off by default: long runs would
-    /// otherwise accumulate every path.
-    pub fn set_record_paths(&mut self, on: bool) {
-        self.record_paths = on;
-    }
-
-    /// Whether delivered paths are being recorded.
-    pub fn record_paths(&self) -> bool {
-        self.record_paths
-    }
-
     /// Publications shed by bounded buffers, summed over every peer —
     /// the headline "did we silently lose documents" number.
     pub fn shed_publications(&self) -> u64 {
@@ -115,7 +105,7 @@ impl NetMetrics {
     /// publish timestamps and the first-delivery dedup set, so a
     /// document published before `reset` produces no notification
     /// afterwards, and a re-publication after `reset` is measured
-    /// fresh. The [`NetMetrics::record_paths`] flag is configuration,
+    /// fresh. Path recording is configuration,
     /// not measurement, and survives.
     pub fn reset(&mut self) {
         self.broker_messages.clear();
@@ -253,15 +243,17 @@ mod tests {
         m.on_publish_injected(DocId(1), Duration::ZERO);
         m.on_delivery(ClientId(1), &publication(1), Duration::from_millis(1), 1);
         assert!(m.delivered_paths.is_empty());
-        m.set_record_paths(true);
+        m.record_paths = true;
         m.on_delivery(ClientId(2), &publication(1), Duration::from_millis(1), 1);
         assert_eq!(m.delivered_paths.len(), 1);
     }
 
     #[test]
     fn reset_clears_measurements_keeps_config() {
-        let mut m = NetMetrics::default();
-        m.set_record_paths(true);
+        let mut m = NetMetrics {
+            record_paths: true,
+            ..NetMetrics::default()
+        };
         m.on_broker_message(MessageKind::Publish);
         m.on_client_message();
         m.on_publish_injected(DocId(1), Duration::ZERO);
@@ -273,7 +265,7 @@ mod tests {
         assert!(m.notifications.is_empty());
         assert!(m.delivered_paths.is_empty());
         assert_eq!(m.dropped_crash, 0);
-        assert!(m.record_paths(), "configuration survives reset");
+        assert!(m.record_paths, "configuration survives reset");
         // Deliveries of pre-reset documents produce no notification…
         m.on_delivery(ClientId(1), &publication(1), Duration::from_millis(2), 1);
         assert!(m.notifications.is_empty());

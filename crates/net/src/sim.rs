@@ -26,6 +26,13 @@ use xdn_xpath::Xpe;
 /// place before buffered publications arrive.
 const RECOVERY_FLUSH_DELAY: Duration = Duration::from_millis(5);
 
+/// Fixed per-frame handling cost of [`ProcessingModel::Modeled`].
+const MODELED_BASE: Duration = Duration::from_micros(20);
+
+/// Marginal matching cost per effective routing-table entry of
+/// [`ProcessingModel::Modeled`].
+const MODELED_PER_ENTRY: Duration = Duration::from_nanos(50);
+
 /// How much virtual time broker compute adds to the simulated clock.
 /// Both models are deterministic: wall-clock time never enters the
 /// simulation, so identical runs report identical delays.
@@ -33,29 +40,12 @@ const RECOVERY_FLUSH_DELAY: Duration = Duration::from_millis(5);
 pub enum ProcessingModel {
     /// Links only (used by traffic-count tests).
     Zero,
-    /// Analytic compute time: each handled frame charges
-    /// `base + per_entry × prt_effective_size` of the handling broker.
-    /// The delay experiments (Figures 10/11, Tables 2/3) run on it:
-    /// covering compacts the effective table, so per-hop cost
-    /// genuinely drops. The default, as [`ProcessingModel::modeled`].
-    Modeled {
-        /// Fixed per-frame handling cost.
-        base: Duration,
-        /// Marginal matching cost per effective routing-table entry.
-        per_entry: Duration,
-    },
-}
-
-impl ProcessingModel {
-    /// A [`ProcessingModel::Modeled`] with defaults in the paper's
-    /// ballpark: tens of microseconds per frame plus tens of
-    /// nanoseconds per table entry.
-    pub fn modeled() -> Self {
-        ProcessingModel::Modeled {
-            base: Duration::from_micros(20),
-            per_entry: Duration::from_nanos(50),
-        }
-    }
+    /// Analytic compute time in the paper's ballpark: each handled
+    /// frame charges 20 µs plus 50 ns per entry of the handling
+    /// broker's effective routing table. The delay experiments
+    /// (Figures 10/11, Tables 2/3) run on it: covering compacts the
+    /// effective table, so per-hop cost genuinely drops. The default.
+    Modeled,
 }
 
 #[derive(Debug)]
@@ -145,7 +135,7 @@ impl Network {
             next_sub: 0,
             next_doc: 0,
             metrics: NetMetrics::default(),
-            processing: ProcessingModel::modeled(),
+            processing: ProcessingModel::Modeled,
             max_events: 100_000_000,
             down: std::collections::BTreeSet::new(),
             dropped_links: std::collections::BTreeSet::new(),
@@ -159,7 +149,7 @@ impl Network {
     /// document reassembly. Off by default: large experiments would
     /// accumulate every delivered path.
     pub fn set_record_deliveries(&mut self, on: bool) {
-        self.metrics.set_record_paths(on);
+        self.metrics.record_paths = on;
     }
 
     /// Installs a structured trace sink on every broker currently in
@@ -302,7 +292,7 @@ impl Network {
     pub fn restart_broker(&mut self, id: BrokerId) {
         assert!(self.down.remove(&id), "broker {id} is not down");
         let old = self.brokers.get_mut(&id).expect("unknown broker");
-        let config = *old.config();
+        let config = old.config();
         let neighbors: Vec<BrokerId> = old.neighbors().to_vec();
         let reliability = old.take_reliability_state();
         let mut fresh = Broker::new(id, config);
@@ -636,10 +626,10 @@ impl Network {
                         .get_mut(&b)
                         .expect("unknown broker destination");
                     let outputs = broker.handle_frames(event.from, event.msg);
-                    if let ProcessingModel::Modeled { base, per_entry } = self.processing {
+                    if self.processing == ProcessingModel::Modeled {
                         let entries =
                             u32::try_from(broker.prt_effective_size()).unwrap_or(u32::MAX);
-                        self.now += base + per_entry * entries;
+                        self.now += MODELED_BASE + MODELED_PER_ENTRY * entries;
                     }
                     self.dispatch_outputs(b, outputs, event.hops);
                 }
@@ -682,12 +672,7 @@ mod tests {
 
     #[test]
     fn end_to_end_delivery() {
-        let (mut net, publisher, subscriber) = two_broker_net(
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let (mut net, publisher, subscriber) = two_broker_net(RoutingConfig::WithAdvWithCov);
         net.advertise(publisher, adv(&["a", "b"]));
         net.run();
         net.subscribe(subscriber, xpe("/a/*"));
@@ -704,12 +689,7 @@ mod tests {
 
     #[test]
     fn non_matching_publication_not_delivered() {
-        let (mut net, publisher, subscriber) = two_broker_net(
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let (mut net, publisher, subscriber) = two_broker_net(RoutingConfig::WithAdvWithCov);
         net.advertise(publisher, adv(&["a", "b"]));
         net.subscribe(subscriber, xpe("/x"));
         net.run();
@@ -721,12 +701,7 @@ mod tests {
 
     #[test]
     fn duplicate_paths_single_notification() {
-        let (mut net, publisher, subscriber) = two_broker_net(
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        let (mut net, publisher, subscriber) = two_broker_net(RoutingConfig::WithAdvWithCov);
         net.advertise(publisher, adv(&["a", "b"]));
         net.advertise(publisher, adv(&["a", "c"]));
         net.subscribe(subscriber, xpe("/a"));
@@ -764,14 +739,8 @@ mod tests {
             net.run();
             net.metrics().traffic_of(MessageKind::Subscribe)
         };
-        let flooded = run(RoutingConfig::builder().build(), false);
-        let scoped = run(
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            true,
-        );
+        let flooded = run(RoutingConfig::NoAdvNoCov, false);
+        let scoped = run(RoutingConfig::WithAdvWithCov, true);
         assert_eq!(flooded, 4, "flooding reaches every broker");
         assert_eq!(scoped, 1, "no overlap -> dropped at the edge broker");
     }
@@ -788,14 +757,14 @@ mod tests {
             net.metrics().traffic_of(MessageKind::Subscribe)
         };
         // Flooding: every subscription crosses to broker 0 (3 at B1 + 3 at B0).
-        assert_eq!(run(RoutingConfig::builder().build()), 6);
+        assert_eq!(run(RoutingConfig::NoAdvNoCov), 6);
         // Covering: /a/b and /a/c stop at the edge broker.
-        assert_eq!(run(RoutingConfig::builder().covering(true).build()), 4);
+        assert_eq!(run(RoutingConfig::NoAdvWithCov), 4);
     }
 
     #[test]
     fn run_returns_event_count_and_clock_advances() {
-        let (mut net, publisher, _s) = two_broker_net(RoutingConfig::builder().build());
+        let (mut net, publisher, _s) = two_broker_net(RoutingConfig::NoAdvNoCov);
         let before = net.now();
         net.publish_path(publisher, vec!["a".into()], 100);
         let events = net.run();
@@ -807,8 +776,8 @@ mod tests {
     #[should_panic(expected = "duplicate broker")]
     fn duplicate_broker_panics() {
         let mut net = Network::new(ClusterLan::default());
-        net.add_broker(BrokerId(0), RoutingConfig::builder().build());
-        net.add_broker(BrokerId(0), RoutingConfig::builder().build());
+        net.add_broker(BrokerId(0), RoutingConfig::NoAdvNoCov);
+        net.add_broker(BrokerId(0), RoutingConfig::NoAdvNoCov);
     }
 
     #[test]
@@ -837,20 +806,8 @@ mod fault_tests {
     fn two_broker_net() -> (Network, ClientId, ClientId) {
         let mut net = Network::new(ClusterLan::default());
         net.set_processing_model(ProcessingModel::Zero);
-        net.add_broker(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
-        net.add_broker(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        net.add_broker(BrokerId(0), RoutingConfig::WithAdvWithCov);
+        net.add_broker(BrokerId(1), RoutingConfig::WithAdvWithCov);
         net.connect(BrokerId(0), BrokerId(1));
         let publisher = net.attach_client(BrokerId(0));
         let subscriber = net.attach_client(BrokerId(1));
@@ -861,13 +818,7 @@ mod fault_tests {
         let mut net = Network::new(ClusterLan::default());
         net.set_processing_model(ProcessingModel::Zero);
         for i in 0..3 {
-            net.add_broker(
-                BrokerId(i),
-                RoutingConfig::builder()
-                    .advertisements(true)
-                    .covering(true)
-                    .build(),
-            );
+            net.add_broker(BrokerId(i), RoutingConfig::WithAdvWithCov);
         }
         net.connect(BrokerId(0), BrokerId(1));
         net.connect(BrokerId(1), BrokerId(2));
@@ -1027,20 +978,8 @@ mod reassembly_tests {
         let mut net = Network::new(ClusterLan::default());
         net.set_processing_model(ProcessingModel::Zero);
         net.set_record_deliveries(true);
-        net.add_broker(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
-        net.add_broker(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        net.add_broker(BrokerId(0), RoutingConfig::WithAdvWithCov);
+        net.add_broker(BrokerId(1), RoutingConfig::WithAdvWithCov);
         net.connect(BrokerId(0), BrokerId(1));
         let publisher = net.attach_client(BrokerId(0));
         let subscriber = net.attach_client(BrokerId(1));
@@ -1086,20 +1025,8 @@ mod determinism_tests {
     fn run_once_with(latency_seed: u64, processing: ProcessingModel) -> (u64, Duration) {
         let mut net = Network::new(PlanetLabWan::with_seed(latency_seed));
         net.set_processing_model(processing);
-        net.add_broker(
-            BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
-        net.add_broker(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-        );
+        net.add_broker(BrokerId(0), RoutingConfig::WithAdvWithCov);
+        net.add_broker(BrokerId(1), RoutingConfig::WithAdvWithCov);
         net.connect(BrokerId(0), BrokerId(1));
         let publisher = net.attach_client(BrokerId(0));
         let subscriber = net.attach_client(BrokerId(1));
@@ -1128,8 +1055,8 @@ mod determinism_tests {
 
     #[test]
     fn modeled_processing_is_deterministic_and_slower_than_zero() {
-        let (t1, d1) = run_once_with(42, ProcessingModel::modeled());
-        let (t2, d2) = run_once_with(42, ProcessingModel::modeled());
+        let (t1, d1) = run_once_with(42, ProcessingModel::Modeled);
+        let (t2, d2) = run_once_with(42, ProcessingModel::Modeled);
         assert_eq!(t1, t2, "traffic must be reproducible");
         assert_eq!(
             d1, d2,
@@ -1159,7 +1086,7 @@ mod determinism_tests {
         let mut net = Network::new(ClusterLan::default());
         net.set_processing_model(ProcessingModel::Zero);
         for i in 0..5 {
-            net.add_broker(BrokerId(i), RoutingConfig::builder().build());
+            net.add_broker(BrokerId(i), RoutingConfig::NoAdvNoCov);
         }
         for i in 0..4 {
             net.connect(BrokerId(i), BrokerId(i + 1));
@@ -1182,7 +1109,7 @@ mod determinism_tests {
     fn total_effective_rts_reflects_covering() {
         let mut net = Network::new(ClusterLan::default());
         net.set_processing_model(ProcessingModel::Zero);
-        net.add_broker(BrokerId(0), RoutingConfig::builder().covering(true).build());
+        net.add_broker(BrokerId(0), RoutingConfig::NoAdvWithCov);
         let c = net.attach_client(BrokerId(0));
         net.subscribe(c, "/a/*".parse().expect("xpe"));
         net.subscribe(c, "/a/b".parse().expect("xpe"));

@@ -463,12 +463,12 @@ impl TcpNode {
         listen: SocketAddr,
         peers: &[(BrokerId, SocketAddr)],
     ) -> Result<TcpNode, TcpError> {
-        Self::start_with(id, config, listen, peers, SupervisorConfig::default())
+        Self::start_with(id, config, listen, peers, &[], SupervisorConfig::default())
     }
 
-    /// [`TcpNode::start`], additionally arming the warm-up gate for
-    /// `expected` — neighbours this node does not dial but that will
-    /// dial in (acceptor-side links).
+    /// [`TcpNode::start`] with explicit supervision parameters, also
+    /// arming the warm-up gate for `expected`: neighbours this node
+    /// does not dial but that will dial in (acceptor-side links).
     ///
     /// A restarted broker has empty routing tables, and the zero-loss
     /// guarantee of the sequenced links holds only if it defers payload
@@ -480,39 +480,13 @@ impl TcpNode {
     /// with its known dialler ids here (the `--expect` flag of
     /// `xdn-node`) to close that window.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if the listener cannot bind.
-    pub fn start_expecting(
-        id: BrokerId,
-        config: RoutingConfig,
-        listen: SocketAddr,
-        peers: &[(BrokerId, SocketAddr)],
-        expected: &[BrokerId],
-        supervision: SupervisorConfig,
-    ) -> Result<TcpNode, TcpError> {
-        Self::start_inner(id, config, listen, peers, expected, supervision)
-    }
-
-    /// [`TcpNode::start`] with explicit supervision parameters.
-    ///
-    /// Unlike earlier revisions, peers do not have to be up yet: each
-    /// link's supervisor keeps dialling within its retry budget.
+    /// Peers do not have to be up yet: each link's supervisor keeps
+    /// dialling within its retry budget.
     ///
     /// # Errors
     ///
     /// Returns an error if the listener cannot bind.
     pub fn start_with(
-        id: BrokerId,
-        config: RoutingConfig,
-        listen: SocketAddr,
-        peers: &[(BrokerId, SocketAddr)],
-        supervision: SupervisorConfig,
-    ) -> Result<TcpNode, TcpError> {
-        Self::start_inner(id, config, listen, peers, &[], supervision)
-    }
-
-    fn start_inner(
         id: BrokerId,
         config: RoutingConfig,
         listen: SocketAddr,
@@ -1058,6 +1032,16 @@ fn render_node_metrics(
             "Time a sequenced frame waited in the retransmit buffer before its ack.",
             stats.ack_lag.clone(),
         ),
+        MetricFamily::counter(
+            "xdn_warmup_shed_total",
+            "Payload frames shed from a full warm-up buffer; their senders replay them.",
+            stats.warmup_shed,
+        ),
+        MetricFamily::counter(
+            "xdn_retransmit_overflow_total",
+            "Sequenced frames shed from a full retransmit buffer, no longer replayable.",
+            stats.retransmit_overflow,
+        ),
         depth,
         shed,
         shed_pubs,
@@ -1387,22 +1371,11 @@ mod tests {
     #[test]
     fn tcp_end_to_end_two_nodes() {
         // Node 1 first (no peers), node 0 dials it.
-        let n1 = TcpNode::start(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node 1");
+        let n1 = TcpNode::start(BrokerId(1), RoutingConfig::WithAdvWithCov, ephemeral(), &[])
+            .expect("node 1");
         let n0 = TcpNode::start(
             BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
+            RoutingConfig::WithAdvWithCov,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
         )
@@ -1451,22 +1424,11 @@ mod tests {
         // Regression test for the accept path not registering the
         // dialling broker as a routing neighbour — the advertisement
         // would flood nowhere and the subscription stay local.
-        let n1 = TcpNode::start(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node 1");
+        let n1 = TcpNode::start(BrokerId(1), RoutingConfig::WithAdvWithCov, ephemeral(), &[])
+            .expect("node 1");
         let n0 = TcpNode::start(
             BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
+            RoutingConfig::WithAdvWithCov,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
         )
@@ -1507,13 +1469,8 @@ mod tests {
 
     #[test]
     fn tcp_non_matching_not_delivered() {
-        let n = TcpNode::start(
-            BrokerId(0),
-            RoutingConfig::builder().build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n =
+            TcpNode::start(BrokerId(0), RoutingConfig::NoAdvNoCov, ephemeral(), &[]).expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
         subscriber
@@ -1536,13 +1493,8 @@ mod tests {
 
     #[test]
     fn tcp_metrics_scrape_over_http() {
-        let n = TcpNode::start(
-            BrokerId(7),
-            RoutingConfig::builder().build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n =
+            TcpNode::start(BrokerId(7), RoutingConfig::NoAdvNoCov, ephemeral(), &[]).expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
         subscriber
@@ -1588,6 +1540,8 @@ mod tests {
         assert!(body.contains("xdn_dup_frames_total"), "{body}");
         assert!(body.contains("xdn_stale_frames_total"), "{body}");
         assert!(body.contains("xdn_ack_lag_seconds"), "{body}");
+        assert!(body.contains("xdn_warmup_shed_total 0\n"), "{body}");
+        assert!(body.contains("xdn_retransmit_overflow_total 0\n"), "{body}");
         assert!(body.contains("xdn_peer_shed_publications_total"), "{body}");
         assert!(body.contains("xdn_frame_encode_calls_total"), "{body}");
         assert!(body.contains("xdn_frame_encoded_bytes_total"), "{body}");
@@ -1617,7 +1571,7 @@ mod tests {
 
     #[test]
     fn tcp_automaton_metrics_scrape() {
-        let cfg = RoutingConfig::builder().build();
+        let cfg = RoutingConfig::NoAdvNoCov;
         let n = TcpNode::start(BrokerId(9), cfg, ephemeral(), &[]).expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
@@ -1653,13 +1607,8 @@ mod tests {
 
     #[test]
     fn unencodable_publication_is_refused_and_the_connection_survives() {
-        let n = TcpNode::start(
-            BrokerId(0),
-            RoutingConfig::builder().build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n =
+            TcpNode::start(BrokerId(0), RoutingConfig::NoAdvNoCov, ephemeral(), &[]).expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
         subscriber
@@ -1695,13 +1644,8 @@ mod tests {
 
     #[test]
     fn tcp_attribute_predicates_over_the_wire() {
-        let n = TcpNode::start(
-            BrokerId(0),
-            RoutingConfig::builder().covering(true).build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n = TcpNode::start(BrokerId(0), RoutingConfig::NoAdvWithCov, ephemeral(), &[])
+            .expect("node");
         let mut publisher = TcpClient::connect(n.addr(), ClientId(1)).expect("pub");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
         subscriber
@@ -1736,24 +1680,14 @@ mod tests {
 
     #[test]
     fn severed_link_reconnects_and_delivery_resumes() {
-        let n1 = TcpNode::start(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node 1");
+        let n1 = TcpNode::start(BrokerId(1), RoutingConfig::WithAdvWithCov, ephemeral(), &[])
+            .expect("node 1");
         let n0 = TcpNode::start_with(
             BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
+            RoutingConfig::WithAdvWithCov,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
+            &[],
             fast_supervision(),
         )
         .expect("node 0");
@@ -1810,24 +1744,14 @@ mod tests {
 
     #[test]
     fn frames_queued_during_outage_are_retransmitted() {
-        let n1 = TcpNode::start(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node 1");
+        let n1 = TcpNode::start(BrokerId(1), RoutingConfig::WithAdvWithCov, ephemeral(), &[])
+            .expect("node 1");
         let n0 = TcpNode::start_with(
             BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
+            RoutingConfig::WithAdvWithCov,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
+            &[],
             fast_supervision(),
         )
         .expect("node 0");
@@ -1859,24 +1783,14 @@ mod tests {
 
     #[test]
     fn restarted_peer_recovers_state_via_sync() {
-        let n1 = TcpNode::start(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node 1");
+        let n1 = TcpNode::start(BrokerId(1), RoutingConfig::WithAdvWithCov, ephemeral(), &[])
+            .expect("node 1");
         let n0 = TcpNode::start_with(
             BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
+            RoutingConfig::WithAdvWithCov,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
+            &[],
             fast_supervision(),
         )
         .expect("node 0");
@@ -1896,16 +1810,8 @@ mod tests {
         // sync exchange must rebuild n1's SRT, and the returning
         // subscriber re-subscribes (client state is the client's).
         n1.shutdown();
-        let n1b = TcpNode::start(
-            BrokerId(1),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node 1 restarted");
+        let n1b = TcpNode::start(BrokerId(1), RoutingConfig::WithAdvWithCov, ephemeral(), &[])
+            .expect("node 1 restarted");
         assert!(n0.redial(BrokerId(1), n1b.addr()));
         assert!(
             n1b.await_state(Duration::from_secs(10), |s| s.srt_size >= 1),
@@ -1941,16 +1847,14 @@ mod tests {
         // `--expect` roster is what makes this safe: without it the
         // fresh n1 acks and drops the replayed frames as unroutable
         // before n2's SyncState re-installs the subscription.
-        let cfg = RoutingConfig::builder()
-            .advertisements(true)
-            .covering(true)
-            .build();
+        let cfg = RoutingConfig::WithAdvWithCov;
         let n1 = TcpNode::start(BrokerId(1), cfg, ephemeral(), &[]).expect("node 1");
         let n0 = TcpNode::start_with(
             BrokerId(0),
             cfg,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
+            &[],
             fast_supervision(),
         )
         .expect("node 0");
@@ -1959,6 +1863,7 @@ mod tests {
             cfg,
             ephemeral(),
             &[(BrokerId(1), n1.addr())],
+            &[],
             fast_supervision(),
         )
         .expect("node 2");
@@ -1997,7 +1902,7 @@ mod tests {
         // Restart with the dialler roster declared, then stage the
         // reconnects worst-case-first: n0 replays before n2 even knows
         // the new address.
-        let n1b = TcpNode::start_expecting(
+        let n1b = TcpNode::start_with(
             BrokerId(1),
             cfg,
             ephemeral(),
@@ -2048,12 +1953,10 @@ mod tests {
         let dead: SocketAddr = "127.0.0.1:1".parse().expect("addr");
         let n = TcpNode::start_with(
             BrokerId(0),
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
+            RoutingConfig::WithAdvWithCov,
             ephemeral(),
             &[(BrokerId(1), dead)],
+            &[],
             SupervisorConfig {
                 backoff_base: Duration::from_millis(1),
                 backoff_max: Duration::from_millis(2),
@@ -2103,13 +2006,8 @@ mod tests {
 
     #[test]
     fn silent_connection_stalls_neither_accepts_nor_shutdown() {
-        let n = TcpNode::start(
-            BrokerId(0),
-            RoutingConfig::builder().build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n =
+            TcpNode::start(BrokerId(0), RoutingConfig::NoAdvNoCov, ephemeral(), &[]).expect("node");
         // Connects first and never sends its hello.
         let mut silent = TcpStream::connect(n.addr()).expect("silent connect");
         let mut subscriber = TcpClient::connect(n.addr(), ClientId(2)).expect("sub");
@@ -2182,13 +2080,8 @@ mod tests {
 
     #[test]
     fn packed_and_split_frames_are_each_handled_once_in_order() {
-        let n = TcpNode::start(
-            BrokerId(0),
-            RoutingConfig::builder().build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n =
+            TcpNode::start(BrokerId(0), RoutingConfig::NoAdvNoCov, ephemeral(), &[]).expect("node");
         let mut subscriber = raw_client(n.addr(), 5);
         let mut publisher = raw_client(n.addr(), 6);
         // Several frames in one write. In this order the table ends
@@ -2242,10 +2135,7 @@ mod tests {
     fn burst_crosses_a_chain_once_and_in_order() {
         const BURST: u64 = 600;
         // n0 — n1 — n2, each dialling the one before it.
-        let cfg = RoutingConfig::builder()
-            .advertisements(true)
-            .covering(true)
-            .build();
+        let cfg = RoutingConfig::WithAdvWithCov;
         let n0 = TcpNode::start(BrokerId(0), cfg, ephemeral(), &[]).expect("node 0");
         let n1 = TcpNode::start(BrokerId(1), cfg, ephemeral(), &[(BrokerId(0), n0.addr())])
             .expect("node 1");
@@ -2304,13 +2194,8 @@ mod tests {
 
     #[test]
     fn oversized_frames_cut_the_connection() {
-        let n = TcpNode::start(
-            BrokerId(0),
-            RoutingConfig::builder().build(),
-            ephemeral(),
-            &[],
-        )
-        .expect("node");
+        let n =
+            TcpNode::start(BrokerId(0), RoutingConfig::NoAdvNoCov, ephemeral(), &[]).expect("node");
         // Handshake as a client, then claim a 1 GiB frame.
         let mut s = raw_client(n.addr(), 7);
         s.write_all(&(1u32 << 30).to_be_bytes()).expect("length");

@@ -68,23 +68,9 @@ mod tests {
 
     #[test]
     fn tree_sizes_match_paper() {
-        let net7 = binary_tree(
-            3,
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ClusterLan::default(),
-        );
+        let net7 = binary_tree(3, RoutingConfig::WithAdvWithCov, ClusterLan::default());
         assert_eq!(net7.broker_ids().len(), 7);
-        let net127 = binary_tree(
-            7,
-            RoutingConfig::builder()
-                .advertisements(true)
-                .covering(true)
-                .build(),
-            ClusterLan::default(),
-        );
+        let net127 = binary_tree(7, RoutingConfig::WithAdvWithCov, ClusterLan::default());
         assert_eq!(net127.broker_ids().len(), 127);
     }
 
@@ -103,7 +89,7 @@ mod tests {
 
     #[test]
     fn tree_connectivity() {
-        let net = binary_tree(3, RoutingConfig::builder().build(), ClusterLan::default());
+        let net = binary_tree(3, RoutingConfig::NoAdvNoCov, ClusterLan::default());
         let root = net.broker(BrokerId(1));
         assert_eq!(root.neighbors().len(), 2);
         let leaf = net.broker(BrokerId(7));
@@ -114,7 +100,7 @@ mod tests {
 
     #[test]
     fn chain_connectivity() {
-        let net = chain(4, RoutingConfig::builder().build(), ClusterLan::default());
+        let net = chain(4, RoutingConfig::NoAdvNoCov, ClusterLan::default());
         assert_eq!(net.broker(BrokerId(0)).neighbors(), &[BrokerId(1)]);
         assert_eq!(net.broker(BrokerId(2)).neighbors().len(), 2);
         assert_eq!(net.broker(BrokerId(3)).neighbors(), &[BrokerId(2)]);
@@ -123,6 +109,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn empty_tree_panics() {
-        let _ = binary_tree(0, RoutingConfig::builder().build(), ClusterLan::default());
+        let _ = binary_tree(0, RoutingConfig::NoAdvNoCov, ClusterLan::default());
     }
 }

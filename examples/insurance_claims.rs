@@ -10,7 +10,7 @@
 //! cargo run --example insurance_claims
 //! ```
 
-use xdn::broker::{BrokerId, Merging, RoutingConfig};
+use xdn::broker::{BrokerId, RoutingConfig};
 use xdn::core::adv::{derive_advertisements, DeriveOptions};
 use xdn::net::latency::PlanetLabWan;
 use xdn::net::topology::binary_tree;
@@ -20,15 +20,7 @@ use xdn::xml::parse_document;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A seven-broker tree: headquarters at the root, regional hubs,
     // branch offices at the leaves, linked over a WAN.
-    let mut net = binary_tree(
-        3,
-        RoutingConfig::builder()
-            .advertisements(true)
-            .covering(true)
-            .merging(Merging::Perfect)
-            .build(),
-        PlanetLabWan::default(),
-    );
+    let mut net = binary_tree(3, RoutingConfig::WithAdvWithCovPM, PlanetLabWan::default());
 
     // The claims intake system (a third-party broker in the paper's
     // story) connects at a branch office and announces the document

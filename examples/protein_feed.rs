@@ -18,10 +18,7 @@ use xdn::xml::DocId;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four brokers in a tree: 3 - 1 - 0 - 2. Each node dials its
     // parent, so the parent starts first.
-    let cfg = RoutingConfig::builder()
-        .advertisements(true)
-        .covering(true)
-        .build();
+    let cfg = RoutingConfig::WithAdvWithCov;
     let any = "127.0.0.1:0".parse()?;
     let b0 = TcpNode::start(BrokerId(0), cfg, any, &[])?;
     let b1 = TcpNode::start(BrokerId(1), cfg, any, &[(BrokerId(0), b0.addr())])?;

@@ -17,14 +17,7 @@ use xdn::xml::parse_document;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A chain of three content-based XML routers.
-    let mut net = chain(
-        3,
-        RoutingConfig::builder()
-            .advertisements(true)
-            .covering(true)
-            .build(),
-        ClusterLan::default(),
-    );
+    let mut net = chain(3, RoutingConfig::WithAdvWithCov, ClusterLan::default());
     net.set_record_deliveries(true);
     let broker_ids = net.broker_ids();
     let publisher = net.attach_client(broker_ids[0]);

@@ -17,11 +17,11 @@
 //! zero-loss proof CI archives as an artifact.
 
 use std::collections::{BTreeMap, BTreeSet};
-use xdn::broker::{ClientId, RoutingConfig};
+use xdn::broker::{BrokerId, ClientId, RoutingConfig};
 use xdn::net::chaos::{self, FaultOp, FaultScript};
 use xdn::net::latency::ClusterLan;
 use xdn::net::sim::{Network, ProcessingModel};
-use xdn::net::topology::chain;
+use xdn::net::topology::{binary_tree, chain};
 use xdn::workloads::{docs, psd_dtd, sets};
 use xdn::xml::{DocId, PathId};
 use xdn::xpath::generate::generate_distinct_xpes;
@@ -93,10 +93,7 @@ fn healthy_reference(n: u32, config: RoutingConfig) -> BTreeMap<(ClientId, DocId
 /// exactly-once equality the heavy scripted runs prove.
 #[test]
 fn tier1_small_chaos_recovers_exactly() {
-    let config = RoutingConfig::builder()
-        .advertisements(true)
-        .covering(true)
-        .build();
+    let config = RoutingConfig::WithAdvWithCov;
     let expected = healthy_reference(4, config);
 
     let (mut net, publisher, _subscriber) = build(4, config);
@@ -128,6 +125,91 @@ fn tier1_small_chaos_recovers_exactly() {
     );
 }
 
+/// A coverer and a covered subscriber on opposite sides of a broker
+/// that restarts: `/a/b` at b2 is owed toward b0, where its coverer
+/// `/a/*` sits, so b2's re-sync must hand it back to the restarted b1.
+#[test]
+fn restart_restores_owed_subscriptions() {
+    let mut net = chain(3, RoutingConfig::NoAdvWithCov, ClusterLan::default());
+    net.set_processing_model(ProcessingModel::Zero);
+    let ids = net.broker_ids();
+    let publisher = net.attach_client(ids[0]);
+    let wide = net.attach_client(ids[0]);
+    let narrow = net.attach_client(ids[2]);
+    net.subscribe(wide, "/a/*".parse().unwrap());
+    net.run();
+    net.subscribe(narrow, "/a/b".parse().unwrap());
+    net.run();
+    let before = net.broker(ids[1]).prt_size();
+    assert_eq!(before, 2);
+
+    net.crash_broker(ids[1]);
+    net.restart_broker(ids[1]);
+    net.run();
+    assert_eq!(net.broker(ids[1]).prt_size(), before);
+
+    let doc = xdn::xml::parse_document("<a><b/></a>").unwrap();
+    net.publish_document(publisher, &doc);
+    net.run();
+    let clients: BTreeSet<ClientId> = net
+        .metrics()
+        .notifications
+        .iter()
+        .map(|n| n.client)
+        .collect();
+    assert_eq!(clients, BTreeSet::from([wide, narrow]));
+}
+
+/// One expression installed at a broker under several ids: b2 sends
+/// `/a/b` to b4 under the id from b1's side and under the id from b5
+/// (which owes b4, where another subscriber sits). After b4 restarts,
+/// b2's re-sync must restore the expression although one of its
+/// subscribers sits at b4, and under both ids, or the first
+/// subscriber's leave retracts the only route b4 has back toward b5's
+/// subscriber.
+#[test]
+fn restart_restores_every_installation_of_an_expression() {
+    let mut net = binary_tree(3, RoutingConfig::NoAdvWithCov, ClusterLan::default());
+    net.set_processing_model(ProcessingModel::Zero);
+    let [b1, b4, b5] = [1, 4, 5].map(BrokerId);
+    let publisher = net.attach_client(b4);
+    let first = net.attach_client(b1);
+    let beside = net.attach_client(b4);
+    let behind = net.attach_client(b5);
+    let mut first_id = None;
+    for client in [first, beside, behind] {
+        let id = net.subscribe(client, "/a/b".parse().unwrap());
+        first_id.get_or_insert(id);
+        net.run();
+    }
+    let doc = xdn::xml::parse_document("<a><b/></a>").unwrap();
+    let received = |net: &Network| {
+        let notes = &net.metrics().notifications;
+        notes.iter().filter(|n| n.client == behind).count()
+    };
+
+    net.crash_broker(b4);
+    net.restart_broker(b4);
+    net.run();
+    net.publish_document(publisher, &doc);
+    net.run();
+    assert_eq!(
+        received(&net),
+        1,
+        "b5's subscriber lost `/a/b` when b4 restarted"
+    );
+
+    net.unsubscribe(first, first_id.unwrap());
+    net.run();
+    net.publish_document(publisher, &doc);
+    net.run();
+    assert_eq!(
+        received(&net),
+        2,
+        "b5's subscriber lost `/a/b` when b1's left"
+    );
+}
+
 /// Scripted chaos: a seeded generated fault schedule (from
 /// `XDN_CHAOS_SEED`, default 11) against a 5-broker chain. Writes the
 /// invariant report to `target/chaos-report-<seed>.json` whether it
@@ -139,10 +221,7 @@ fn scripted_chaos_zero_loss_for_seed() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(SEED);
-    let config = RoutingConfig::builder()
-        .advertisements(true)
-        .covering(true)
-        .build();
+    let config = RoutingConfig::WithAdvWithCov;
     let expected = healthy_reference(5, config);
 
     let (mut net, publisher, _subscriber) = build(5, config);
@@ -175,10 +254,7 @@ fn scripted_chaos_zero_loss_for_seed() {
 #[test]
 #[ignore = "chaos tier: run with --ignored"]
 fn middle_broker_crash_mid_stream_recovers_exactly() {
-    let config = RoutingConfig::builder()
-        .advertisements(true)
-        .covering(true)
-        .build();
+    let config = RoutingConfig::WithAdvWithCov;
 
     // Reference: the same workload with no failure.
     let expected = healthy_reference(5, config);
@@ -246,10 +322,7 @@ fn middle_broker_crash_mid_stream_recovers_exactly() {
 #[test]
 #[ignore = "chaos tier: run with --ignored"]
 fn link_outage_mid_stream_recovers_exactly() {
-    let config = RoutingConfig::builder()
-        .advertisements(true)
-        .covering(true)
-        .build();
+    let config = RoutingConfig::WithAdvWithCov;
 
     let expected: BTreeSet<_> = healthy_reference(5, config).into_keys().collect();
     let healthy_sigs = {

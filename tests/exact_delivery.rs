@@ -37,7 +37,6 @@ fn delivered(net: &Network) -> Multiset {
 /// deliveries are compared with the oracle's.
 fn check_exact(
     mut net: Network,
-    name: &str,
     config: RoutingConfig,
     publishers: &[BrokerId],
     advs: &[Advertisement],
@@ -48,13 +47,13 @@ fn check_exact(
     net.set_record_deliveries(true);
     let brokers = net.broker_ids();
     let producers: Vec<ClientId> = publishers.iter().map(|&b| net.attach_client(b)).collect();
-    if config.advertisements {
+    if config.advertisements() {
         for &p in &producers {
             net.advertise_all(p, advs.to_vec());
         }
         net.run();
     }
-    if config.merging.is_some() {
+    if config.merge_degree().is_some() {
         let universe = Arc::new(xdn::workloads::universe(&psd_dtd()));
         for id in net.broker_ids() {
             net.broker_mut(id).set_universe(Arc::clone(&universe));
@@ -67,7 +66,7 @@ fn check_exact(
         subscribers.push((client, xpe));
     }
     net.run();
-    if config.merging.is_some() {
+    if config.merge_degree().is_some() {
         net.apply_merging();
         net.run();
     }
@@ -84,7 +83,7 @@ fn check_exact(
     }
     net.run();
     let got = delivered(&net);
-    assert!(!want.is_empty(), "{name}: the workload must deliver");
+    assert!(!want.is_empty(), "{config}: the workload must deliver");
     let missing: Vec<_> = want.keys().filter(|k| !got.contains_key(k)).collect();
     let extra: Vec<_> = got
         .iter()
@@ -92,7 +91,7 @@ fn check_exact(
         .collect();
     assert!(
         missing.is_empty() && extra.is_empty(),
-        "{name} on {} brokers, publishers at {publishers:?}: {} of {} deliveries missing \
+        "{config} on {} brokers, publishers at {publishers:?}: {} of {} deliveries missing \
          (first {:?}), {} wrong (first {:?})",
         brokers.len(),
         missing.len(),
@@ -110,17 +109,17 @@ fn check_exact(
 fn spread_subscribers_receive_exactly_their_matches() {
     let dtd = psd_dtd();
     let advs = derive_advertisements(&dtd, &DeriveOptions::default());
-    for (seed, (name, config)) in RoutingConfig::all_strategies().into_iter().enumerate() {
+    for (seed, config) in RoutingConfig::ALL.into_iter().enumerate() {
         let seed = seed as u64 + 1;
         let xpes = sets::set_a(&dtd, 160, seed);
         let documents = docs::documents(&dtd, 20, seed + 50);
         let tree = || binary_tree(3, config, ClusterLan::default());
         let line = || chain(4, config, ClusterLan::default());
         for publishers in [&[BrokerId(0)][..], &[BrokerId(0), BrokerId(3)]] {
-            check_exact(line(), name, config, publishers, &advs, &xpes, &documents);
+            check_exact(line(), config, publishers, &advs, &xpes, &documents);
         }
         for publishers in [&[BrokerId(1)][..], &[BrokerId(4), BrokerId(7)]] {
-            check_exact(tree(), name, config, publishers, &advs, &xpes, &documents);
+            check_exact(tree(), config, publishers, &advs, &xpes, &documents);
         }
     }
 }
@@ -133,11 +132,11 @@ fn covered_subscription_from_a_neighbour_keeps_its_deliveries() {
     let coverer: Xpe = "/nitf/body/body-head//person/*".parse().unwrap();
     let elements = ["nitf", "body", "body-head", "x", "person", "function-x"];
     assert!(xdn::core::covers(&coverer, &covered));
-    for (name, config) in RoutingConfig::all_strategies() {
+    for config in RoutingConfig::ALL {
         let mut net = chain(2, config, ClusterLan::default());
         net.set_processing_model(ProcessingModel::Zero);
         let producer = net.attach_client(BrokerId(0));
-        if config.advertisements {
+        if config.advertisements() {
             net.advertise(
                 producer,
                 Advertisement::non_recursive(AdvPath::from_names(&elements)),
@@ -165,6 +164,6 @@ fn covered_subscription_from_a_neighbour_keeps_its_deliveries() {
         got.sort();
         let mut want = vec![far, near];
         want.sort();
-        assert_eq!(got, want, "{name}");
+        assert_eq!(got, want, "{config}");
     }
 }

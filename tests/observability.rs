@@ -12,11 +12,7 @@ use xdn::obs::CollectingTracer;
 
 #[test]
 fn trace_events_match_delivered_notifications() {
-    let mut net = chain(
-        3,
-        RoutingConfig::builder().covering(true).build(),
-        ClusterLan::default(),
-    );
+    let mut net = chain(3, RoutingConfig::NoAdvWithCov, ClusterLan::default());
     net.set_processing_model(ProcessingModel::Zero);
     let tracer = Arc::new(CollectingTracer::new());
     net.set_tracer(tracer.clone());
@@ -71,7 +67,7 @@ fn trace_events_match_delivered_notifications() {
 
 #[test]
 fn tracer_is_opt_in_and_detachable() {
-    let mut net = chain(2, RoutingConfig::builder().build(), ClusterLan::default());
+    let mut net = chain(2, RoutingConfig::NoAdvNoCov, ClusterLan::default());
     net.set_processing_model(ProcessingModel::Zero);
 
     // No tracer attached: the network still routes and records metrics.

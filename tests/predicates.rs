@@ -106,14 +106,7 @@ fn predicate_implication_table() {
 fn end_to_end_attribute_routing() {
     // Two subscribers: one wants English claims, one Portuguese; the
     // network must route on attribute values.
-    let mut net = chain(
-        3,
-        RoutingConfig::builder()
-            .advertisements(true)
-            .covering(true)
-            .build(),
-        ClusterLan::default(),
-    );
+    let mut net = chain(3, RoutingConfig::WithAdvWithCov, ClusterLan::default());
     net.set_processing_model(ProcessingModel::Zero);
     let ids = net.broker_ids();
     let publisher = net.attach_client(ids[0]);
