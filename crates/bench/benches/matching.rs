@@ -1,5 +1,5 @@
-//! Two self-timed comparisons, written to `BENCH_matching.json` at the
-//! workspace root:
+//! Two self-timed comparisons and one covering-table timing, written
+//! to `BENCH_matching.json` at the workspace root:
 //!
 //! * **publications**: flat linear scan vs the shared-NFA
 //!   `AutomatonPrt`, at growing subscription counts, over the NITF
@@ -9,7 +9,12 @@
 //!   for subscriptions of up to 16 steps) vs `Srt::match_sub` (one
 //!   automaton search per last hop), over the NITF and PSD
 //!   advertisement sets on one and three hops, with Set A and Set B
-//!   subscriptions.
+//!   subscriptions;
+//! * **covering**: covering `Prt` inserts and removes in ns per call,
+//!   for NITF Set B at the `nitf-churn` benchmark's sizes (500 standing
+//!   expressions and a 250-expression reserve churned through a
+//!   50-wide window) and for 2,000 NITF Set A inserts, then as many
+//!   removes.
 //!
 //! Publication paths are visited twice: in document order, where the
 //! automaton resumes each path at the prefix it shares with the one
@@ -26,6 +31,11 @@
 //! table's exactness is additionally tested against
 //! `adv_overlaps_sub` in `crates/core/tests/srt_match.rs`).
 //!
+//! The covering section checks the tree's invariants after every run
+//! and asserts its effective sizes (top-level expressions) against
+//! pinned ones: after set-up, summed over every operation, and at the
+//! end. A change to the covering scans must leave them as they are.
+//!
 //! Environment knobs (for CI smoke runs):
 //! * `XDN_BENCH_SUBS` — comma-separated subscription counts
 //!   (default `1000,10000,50000`);
@@ -34,13 +44,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
-use std::time::Instant;
+use std::collections::{BTreeSet, VecDeque};
+use std::time::{Duration, Instant};
 use xdn_bench::SEED;
 use xdn_core::adv::{derive_advertisements, DeriveOptions};
 use xdn_core::advmatch::PreparedAdv;
 use xdn_core::automaton::AutomatonPrt;
-use xdn_core::rtable::{AdvId, FlatPrt, PublicationRouter, Srt, SubId};
+use xdn_core::rtable::{AdvId, FlatPrt, Prt, PublicationRouter, Srt, SubId};
 use xdn_workloads::{docs, nitf_dtd, psd_dtd, sets};
 use xdn_xpath::Xpe;
 
@@ -87,7 +97,8 @@ fn main() {
     let iters = env_usize("XDN_BENCH_ITERS", 3).max(1);
     let levels = publication_levels(iters);
     let adv_rows = advertisement_rows(iters);
-    let json = render_json(&levels, &adv_rows, iters);
+    let cover_rows = covering_rows(iters);
+    let json = render_json(&levels, &adv_rows, &cover_rows, iters);
     match std::fs::write(OUT_PATH, &json) {
         Ok(()) => println!("wrote {OUT_PATH}"),
         Err(e) => eprintln!("failed to write {OUT_PATH}: {e}"),
@@ -277,7 +288,215 @@ fn advertisement_rows(iters: usize) -> Vec<AdvRow> {
     rows
 }
 
-fn render_json((levels, paths): &(Vec<Level>, usize), adv_rows: &[AdvRow], iters: usize) -> String {
+/// One covering-section row: covering `Prt` inserts and removes over
+/// one NITF workload.
+struct CoverRow {
+    workload: &'static str,
+    inserts: usize,
+    removes: usize,
+    insert_ns: f64,
+    remove_ns: f64,
+    effective: EffectiveSizes,
+}
+
+/// A run's effective sizes: after set-up, summed over every timed
+/// operation, and at the end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EffectiveSizes {
+    setup: usize,
+    summed: usize,
+    end: usize,
+}
+
+/// `nitf-churn`'s dimensions: standing Set B expressions, the reserve
+/// the churn subscribes from, and the window of transient ones.
+const CHURN_STANDING: usize = 500;
+const CHURN_RESERVE: usize = 250;
+const CHURN_WINDOW: usize = 50;
+/// Seeded passes the churn makes over the reserve.
+const CHURN_PASSES: usize = 2;
+/// Set A expressions inserted (`nitf-match`'s set-up size).
+const SET_A_INSERTS: usize = 2_000;
+
+/// The effective sizes every run must reproduce, per workload.
+const PINNED_CHURN: EffectiveSizes = EffectiveSizes {
+    setup: 391,
+    summed: 381_891,
+    end: 380,
+};
+const PINNED_SET_A: EffectiveSizes = EffectiveSizes {
+    setup: 463,
+    summed: 979_392,
+    end: 0,
+};
+
+/// The covering section: times covering `Prt` inserts and removes on a
+/// fresh table per pass, gating each pass on the tree's invariants and
+/// its pinned effective sizes.
+fn covering_rows(iters: usize) -> Vec<CoverRow> {
+    let dtd = nitf_dtd();
+    let mut population = sets::set_b(&dtd, CHURN_STANDING + CHURN_RESERVE, SEED + 50);
+    let reserve = population.split_off(CHURN_STANDING.min(population.len()));
+    let set_a = sets::set_a(&dtd, SET_A_INSERTS, SEED + 51);
+    let rows = vec![
+        cover_row("nitf set_b churn", iters, PINNED_CHURN, || {
+            churn_pass(&population, &reserve)
+        }),
+        cover_row("nitf set_a", iters, PINNED_SET_A, || set_a_pass(&set_a)),
+    ];
+    for r in &rows {
+        println!(
+            "bench matching/covering {}: insert {:.0} ns/call ({} calls), \
+             remove {:.0} ns/call ({} calls), effective sizes {:?}",
+            r.workload, r.insert_ns, r.inserts, r.remove_ns, r.removes, r.effective
+        );
+    }
+    rows
+}
+
+/// What one timed pass over a covering table produced.
+struct CoverPass {
+    insert: Duration,
+    inserts: usize,
+    remove: Duration,
+    removes: usize,
+    effective: EffectiveSizes,
+}
+
+fn cover_row(
+    workload: &'static str,
+    iters: usize,
+    pinned: EffectiveSizes,
+    pass: impl Fn() -> CoverPass,
+) -> CoverRow {
+    let (mut insert, mut remove) = (Duration::ZERO, Duration::ZERO);
+    let (mut inserts, mut removes) = (0, 0);
+    for _ in 0..iters {
+        let run = pass();
+        // Untimed gate: shaped as before (each pass checks the
+        // invariants itself).
+        assert_eq!(
+            run.effective, pinned,
+            "covering table's effective sizes moved on {workload}"
+        );
+        insert += run.insert;
+        remove += run.remove;
+        (inserts, removes) = (run.inserts, run.removes);
+    }
+    let per_call = |d: Duration, calls: usize| d.as_nanos() as f64 / (iters * calls).max(1) as f64;
+    CoverRow {
+        workload,
+        inserts,
+        removes,
+        insert_ns: per_call(insert, inserts),
+        remove_ns: per_call(remove, removes),
+        effective: pinned,
+    }
+}
+
+/// Set B at `nitf-churn`'s sizes: the standing expressions and the
+/// first window subscribed untimed, then each churn operation
+/// subscribes the next reserve expression (seeded passes over the
+/// reserve) and unsubscribes the oldest transient one, each call
+/// timed on its own.
+fn churn_pass(standing: &[Xpe], reserve: &[Xpe]) -> CoverPass {
+    let mut table: Prt<u32> = Prt::new();
+    let mut next_id = 0u64;
+    let mut subscribe = |table: &mut Prt<u32>, xpe: &Xpe| {
+        next_id += 1;
+        table.insert(SubId(next_id), xpe.clone(), (next_id % 5) as u32);
+        SubId(next_id)
+    };
+    for xpe in standing {
+        subscribe(&mut table, xpe);
+    }
+    let mut window: VecDeque<SubId> = reserve
+        .iter()
+        .take(CHURN_WINDOW)
+        .map(|xpe| subscribe(&mut table, xpe))
+        .collect();
+    let setup = table.effective_size();
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED + 52);
+    let mut picks = Vec::new();
+    for _ in 0..CHURN_PASSES {
+        let mut order: Vec<&Xpe> = reserve.iter().collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        picks.extend(order);
+    }
+    let (mut insert, mut remove, mut summed) = (Duration::ZERO, Duration::ZERO, 0);
+    for &xpe in &picks {
+        let started = Instant::now();
+        window.push_back(subscribe(&mut table, xpe));
+        insert += started.elapsed();
+        summed += table.effective_size();
+        let oldest = window.pop_front().expect("the window holds the new one");
+        let started = Instant::now();
+        table.remove(oldest);
+        remove += started.elapsed();
+        summed += table.effective_size();
+    }
+    check_tree(&table, "nitf set_b churn");
+    CoverPass {
+        effective: EffectiveSizes {
+            setup,
+            summed,
+            end: table.effective_size(),
+        },
+        insert,
+        inserts: picks.len(),
+        remove,
+        removes: picks.len(),
+    }
+}
+
+/// 2,000 Set A inserts into an empty table, timed as one block, then
+/// the removes in insertion order, timed as another; the tree is
+/// checked, untimed, in between.
+fn set_a_pass(xpes: &[Xpe]) -> CoverPass {
+    let mut table: Prt<u32> = Prt::new();
+    let started = Instant::now();
+    for (i, xpe) in xpes.iter().enumerate() {
+        table.insert(SubId(i as u64), xpe.clone(), (i % 5) as u32);
+    }
+    let insert = started.elapsed();
+    check_tree(&table, "nitf set_a");
+    let setup = table.effective_size();
+    let mut summed = 0;
+    let started = Instant::now();
+    for i in 0..xpes.len() {
+        table.remove(SubId(i as u64));
+        summed += table.effective_size();
+    }
+    let remove = started.elapsed();
+    check_tree(&table, "nitf set_a");
+    CoverPass {
+        effective: EffectiveSizes {
+            setup,
+            summed,
+            end: table.effective_size(),
+        },
+        insert,
+        inserts: xpes.len(),
+        remove,
+        removes: xpes.len(),
+    }
+}
+
+/// Untimed gate: the covering tree keeps its invariants.
+fn check_tree(table: &Prt<u32>, workload: &str) {
+    if let Err(e) = table.tree().check_invariants() {
+        panic!("covering table broke an invariant on {workload}: {e}");
+    }
+}
+
+fn render_json(
+    (levels, paths): &(Vec<Level>, usize),
+    adv_rows: &[AdvRow],
+    cover_rows: &[CoverRow],
+    iters: usize,
+) -> String {
     let rows: Vec<String> = levels
         .iter()
         .map(|l| {
@@ -316,11 +535,29 @@ fn render_json((levels, paths): &(Vec<Level>, usize), adv_rows: &[AdvRow], iters
             )
         })
         .collect();
+    let covering: Vec<String> = cover_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"workload\": \"{}\", \"inserts\": {}, \"insert_ns_per_call\": {:.0}, \
+                 \"removes\": {}, \"remove_ns_per_call\": {:.0}, \
+                 \"effective_after_setup\": {}, \"effective_at_end\": {}}}",
+                r.workload,
+                r.inserts,
+                r.insert_ns,
+                r.removes,
+                r.remove_ns,
+                r.effective.setup,
+                r.effective.end,
+            )
+        })
+        .collect();
     format!(
         "{{\n  \"bench\": \"matching\",\n  \"workload\": \"nitf set_a\",\n  \
          \"publication_paths\": {paths},\n  \"iters\": {iters},\n  \"levels\": [\n{}\n  ],\n  \
-         \"advertisements\": [\n{}\n  ]\n}}\n",
+         \"advertisements\": [\n{}\n  ],\n  \"covering\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
-        adv.join(",\n")
+        adv.join(",\n"),
+        covering.join(",\n")
     )
 }

@@ -888,13 +888,13 @@ impl Broker {
             // The removed coverer stood in for the promoted
             // subscription everywhere but the promoted node's own
             // origins, including toward `from`. Where the expression is
-            // installed under another id, that one stands in already.
+            // installed already (owed toward the coverer's origin, or
+            // under another id), it needs no second `Subscribe`.
             let own = self.prt.hops_of(pid);
             let targets: Vec<Dest> = self
                 .sub_targets(&pxpe, None)
                 .into_iter()
-                .filter(|t| !own.contains(t))
-                .filter(|t| self.installed_at(pid, *t).is_none_or(|i| i == pid))
+                .filter(|t| !own.contains(t) && !self.is_sent(pid, *t))
                 .collect();
             for t in &targets {
                 out.push((

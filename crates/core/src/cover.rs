@@ -24,10 +24,14 @@
 //! Every one of these rules places each step of the coverer on a step
 //! of its own in the coveree, and a name test covers only the same
 //! name. So `covers(a, b)` can only hold when every element name in `a`
-//! is a name in `b` and `a` has no more steps than `b`. `CoverSig`
-//! summarises an expression for that test, which callers that compare
-//! one expression against many stored ones (the subscription tree) run
-//! before `covers`.
+//! is a name in `b` and `a` has no more steps than `b`. A root-anchored
+//! coverer (absolute, starting with `/`) covers only a root-anchored
+//! coveree, and every rule places the coverer's leading fragment (its
+//! steps up to the first `//`) on the coveree's leading fragment at
+//! the same positions: so each name there is also `b`'s name at that
+//! position. `CoverSig` summarises an expression for these tests,
+//! which callers that compare one expression against many stored ones
+//! (the subscription tree) run before `covers`.
 
 use xdn_xpath::{Axis, Step, Xpe};
 
@@ -65,27 +69,40 @@ pub fn covers(s1: &Xpe, s2: &Xpe) -> bool {
 /// The covering signature of an expression: what [`covers`] needs of
 /// it before it can hold.
 ///
-/// `covers(a, b)` implies `sig(a).may_cover(sig(b))` (the rule in the
-/// module doc). Names are kept as a 64-bit mask, one bit per name; two
-/// names sharing a bit only let more pairs through to `covers`. A
-/// signature is worth keeping only beside a stored expression: hashing
-/// the names costs about as much as the `covers` call it saves.
+/// `covers(a, b)` implies `sig(a).may_cover(sig(b))` (the rules in the
+/// module doc). Names are kept as 64-bit masks, one bit per name, or
+/// per name and position; two keys sharing a bit only let more pairs
+/// through to `covers`. A signature is worth keeping only beside a
+/// stored expression: hashing the names costs about as much as the
+/// `covers` call it saves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CoverSig {
     /// Bit [`name_bit`] of every element name the expression tests.
     names: u64,
+    /// Bit [`anchored_bit`] of every name in the leading fragment of a
+    /// root-anchored expression, with its position; 0 for one that is
+    /// not root-anchored.
+    anchored: u64,
     steps: usize,
 }
 
 impl CoverSig {
     /// The signature of `xpe`. `*` tests no name and sets no bit.
     pub(crate) fn of(xpe: &Xpe) -> Self {
+        let steps = xpe.steps();
+        // Empty unless the expression is root-anchored.
+        let leading = steps
+            .iter()
+            .take_while(|s| xpe.is_absolute() && s.axis == Axis::Child);
         CoverSig {
-            names: xpe
-                .steps()
+            names: steps
                 .iter()
                 .filter_map(|s| s.test.name())
                 .fold(0, |mask, n| mask | name_bit(n)),
+            anchored: leading
+                .enumerate()
+                .filter_map(|(i, s)| Some(anchored_bit(s.test.name()?, i)))
+                .fold(0, |mask, bit| mask | bit),
             steps: xpe.len(),
         }
     }
@@ -93,17 +110,32 @@ impl CoverSig {
     /// False when `covers(a, b)` is certainly false, where `self` is
     /// `a`'s signature and `covered` is `b`'s.
     pub(crate) fn may_cover(self, covered: CoverSig) -> bool {
-        self.names & !covered.names == 0 && self.steps <= covered.steps
+        self.names & !covered.names == 0
+            && self.anchored & !covered.anchored == 0
+            && self.steps <= covered.steps
     }
 }
 
-/// The mask bit of an element name: FNV-1a of its bytes, mod 64. The
-/// hash is fixed, so a name sets the same bit in every process.
-fn name_bit(name: &str) -> u64 {
-    let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+/// FNV-1a of a name's bytes. The hash is fixed, so a name sets the same
+/// bits in every process.
+fn name_hash(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
-    1 << (hash % 64)
+    })
+}
+
+/// The mask bit of an element name: its hash mod 64.
+fn name_bit(name: &str) -> u64 {
+    1 << (name_hash(name) % 64)
+}
+
+/// The mask bit of an element name at a position of a leading
+/// fragment: the name's hash and the position, mixed (Fibonacci
+/// hashing), keep the top 6 bits.
+fn anchored_bit(name: &str, position: usize) -> u64 {
+    const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
+    let key = name_hash(name) ^ (position as u64 + 1).wrapping_mul(PHI);
+    1 << (key.wrapping_mul(PHI) >> 58)
 }
 
 /// `AbsSimCov` (§4.2): covering between two absolute simple XPEs.
@@ -475,9 +507,17 @@ mod tests {
         assert!(may("/a/*", "/a/b/c"));
         assert!(may("b//d", "/a/b/c/d"));
         assert!(may("/a/*//*/d", "/a//b/c/d"));
+        assert!(may("/a/b//c", "/a/b/x/c"));
+        assert!(may("/a/*", "/a//b/c"));
         assert!(!may("/a/b", "/a/c"), "a name missing from the coveree");
         assert!(!may("/a/b/c", "/a/b"), "more steps than the coveree");
         assert!(!may("*/*", "a"), "wildcards still count as steps");
+        assert!(
+            !may("/a/b/c/d", "/a/c/b/d"),
+            "the coveree's names, at other positions"
+        );
+        assert!(!may("/a/b", "/a//b"), "a name past the coveree's `//`");
+        assert!(!may("/a", "//a"), "a floating coveree");
     }
 
     #[test]
@@ -531,8 +571,10 @@ mod tests {
         }
 
         /// A widening of `x` by `ops` (`(step, kind)` pairs): a step
-        /// becomes `*`, drops its predicates, or becomes `//`, or the
-        /// expression floats from that step on. Many results cover `x`.
+        /// becomes `*`, drops its predicates, or becomes `//`, a `//`
+        /// stands in for an inner step (so the steps after it move to
+        /// other positions), or the expression floats from that step
+        /// on. Many results cover `x`.
         fn widen(x: &Xpe, ops: &[(usize, u8)]) -> Xpe {
             let mut absolute = x.is_absolute();
             let mut steps = x.steps().to_vec();
@@ -542,6 +584,12 @@ mod tests {
                     0 => steps[at].test = NodeTest::Wildcard,
                     1 => steps[at].predicates.clear(),
                     2 => steps[at].axis = Axis::Descendant,
+                    3 => {
+                        if at > 0 && at + 1 < steps.len() {
+                            steps.remove(at);
+                            steps[at].axis = Axis::Descendant;
+                        }
+                    }
                     _ => {
                         absolute = false;
                         steps.drain(..at);
@@ -558,7 +606,7 @@ mod tests {
             #[test]
             fn covers_implies_signature(
                 base in prop::collection::vec(arb_xpe(), 1..6),
-                ops in prop::collection::vec((0usize..8, 0u8..4), 0..6),
+                ops in prop::collection::vec((0usize..8, 0u8..5), 0..6),
             ) {
                 prop_assert_eq!(name_bit("ba"), name_bit("a"));
                 prop_assert_eq!(name_bit("bb"), name_bit("b"));

@@ -292,3 +292,47 @@ fn unsubscribing_an_owed_subscription_retracts_it_everywhere() {
         assert_eq!(net.metrics().notifications.len(), 10);
     }
 }
+
+#[test]
+fn promoting_an_owed_subscription_sends_no_subscribe() {
+    // `/a/b` at b2 is covered by `/a/*` at b0 and owed toward b0, so
+    // b2 and b1 have each sent it there already. When `/a/*` leaves,
+    // the promoted `/a/b` is installed on every hop that needs it.
+    for coverer_first in [true, false] {
+        let mut net = chain(3, RoutingConfig::NoAdvWithCov, ClusterLan::default());
+        net.set_processing_model(ProcessingModel::Zero);
+        let ids = net.broker_ids();
+        let publisher = net.attach_client(ids[0]);
+        let wide = net.attach_client(ids[0]);
+        let narrow = net.attach_client(ids[2]);
+        let mut coverer = None;
+        for wide_turn in [coverer_first, !coverer_first] {
+            if wide_turn {
+                coverer = Some(net.subscribe(wide, "/a/*".parse().unwrap()));
+            } else {
+                net.subscribe(narrow, "/a/b".parse().unwrap());
+            }
+            net.run();
+        }
+
+        net.metrics_mut().reset();
+        net.unsubscribe(wide, coverer.expect("subscribed"));
+        net.run();
+        assert_eq!(
+            net.metrics().traffic_of(MessageKind::Subscribe),
+            0,
+            "coverer first: {coverer_first}"
+        );
+
+        let doc = xdn::xml::parse_document("<a><b/></a>").unwrap();
+        net.publish_document(publisher, &doc);
+        net.run();
+        let clients: Vec<ClientId> = net
+            .metrics()
+            .notifications
+            .iter()
+            .map(|n| n.client)
+            .collect();
+        assert_eq!(clients, [narrow], "coverer first: {coverer_first}");
+    }
+}
